@@ -7,7 +7,7 @@ the degree-8 scroll (mapped by cubics through six ruling planes) with the
 anticanonically embedded weighted projective space P(1,1,4,6).
 """
 
-from .bundles import BundleSystemSpec, RuledClass, SplitBundle, intersect, system_dim
+from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .checks import (CheckRecord, ConfigurationError, VerifyConfig, run_all)
 from .grading import (ANY_DEGREE, WeightSystem, enumerate_monomials,
                       hilbert_count, is_homogeneous, weighted_degree)
@@ -17,8 +17,7 @@ from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
                      build_sextic_system, compare_spans,
                      coordinate_plane_residual, factor_out, is_scalar_multiple,
                      multiplicity_along_line, random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, solve_sextic_constraints,
-                     spans_equal)
+                     restrict_to_pencil_plane, solve_sextic_constraints)
 from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
                    SubstitutionError, generators, monomial_text,
                    parse_polynomial)

@@ -100,7 +100,3 @@ class RuledClass:
         if self.e != other.e:
             raise ValueError(f"classes live on different surfaces: F_{self.e} vs F_{other.e}")
         return (-self.e) * self.a * other.a + self.a * other.b + self.b * other.a
-
-
-def intersect(c1: RuledClass, c2: RuledClass) -> int:
-    return c1.intersect(c2)

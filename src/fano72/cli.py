@@ -63,8 +63,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    print(f"weights {weights}, degree {args.degree}: "
-          f"{hilbert_count(weights, args.degree)} monomials")
+    try:
+        count = hilbert_count(weights, args.degree)
+    except ValueError as error:
+        raise ConfigurationError(str(error))
+    print(f"weights {weights}, degree {args.degree}: {count} monomials")
     if args.list:
         names = _variable_names(len(weights))
         for exponents in enumerate_monomials(weights, args.degree):

@@ -90,31 +90,18 @@ def rank_of_rows(rows: Iterable) -> int:
 def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace of a dense matrix, one vector per free column.
 
-    The matrix is brought to reduced row echelon form over the rationals;
-    each free column yields the standard basis vector of the solution space.
+    The rows are eliminated into a RowSpace; each free column f yields the
+    solution that is 1 at f and 0 at the other free columns, found by
+    back-substitution through the echelon rows from the last pivot up.
+    These are the vectors read off the reduced row echelon form.
     """
-    matrix = [[Fraction(v) for v in row] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        scale = matrix[r][c]
-        matrix[r] = [v / scale for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                factor = matrix[i][c]
-                matrix[i] = [vi - factor * vr for vi, vr in zip(matrix[i], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    echelon = RowSpace(rows)._pivots
     basis = []
-    for f in free_cols:
+    for f in (c for c in range(ncols) if c not in echelon):
         vector = [Fraction(0)] * ncols
         vector[f] = Fraction(1)
-        for row_index, p in enumerate(pivot_cols):
-            vector[p] = -matrix[row_index][f]
+        for p in sorted(echelon, reverse=True):
+            row = echelon[p]
+            vector[p] = Fraction(-sum(v * vector[c] for c, v in row.items() if c != p), row[p])
         basis.append(tuple(vector))
     return basis

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fano72 import BundleSystemSpec, RuledClass, SplitBundle, intersect, system_dim
+from fano72 import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 
 CONE = SplitBundle((0, 2, 6))
 
@@ -79,11 +79,11 @@ def test_hirzebruch_intersection_numbers():
     e = RuledClass(4, 1, 0)
     fibre = RuledClass(4, 0, 1)
     hyperplane = RuledClass(4, 1, 6)
-    assert intersect(hyperplane, hyperplane) == 8
-    assert intersect(e, hyperplane) == 2
-    assert intersect(fibre, hyperplane) == 1
-    assert intersect(e, e) == -4
-    assert intersect(fibre, fibre) == 0
+    assert hyperplane.intersect(hyperplane) == 8
+    assert e.intersect(hyperplane) == 2
+    assert fibre.intersect(hyperplane) == 1
+    assert e.intersect(e) == -4
+    assert fibre.intersect(fibre) == 0
 
 
 def test_intersection_is_symmetric_and_bilinear():
@@ -94,14 +94,14 @@ def test_intersection_is_symmetric_and_bilinear():
         c2 = RuledClass(e, rng.randint(-5, 5), rng.randint(-5, 5))
         c3 = RuledClass(e, rng.randint(-5, 5), rng.randint(-5, 5))
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
-        assert intersect(c1, c2) == intersect(c2, c1)
-        assert intersect(m * c1 + n * c2, c3) == \
-            m * intersect(c1, c3) + n * intersect(c2, c3)
+        assert c1.intersect(c2) == c2.intersect(c1)
+        assert (m * c1 + n * c2).intersect(c3) == \
+            m * c1.intersect(c3) + n * c2.intersect(c3)
 
 
 def test_mismatched_surfaces_cannot_intersect():
     with pytest.raises(ValueError):
-        intersect(RuledClass(4, 1, 0), RuledClass(3, 1, 0))
+        RuledClass(4, 1, 0).intersect(RuledClass(3, 1, 0))
     with pytest.raises(ValueError):
         RuledClass(4, 1, 0) + RuledClass(3, 0, 1)
 

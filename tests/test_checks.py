@@ -3,8 +3,9 @@ from dataclasses import asdict
 
 import pytest
 
-from fano72 import ConfigurationError, VerifyConfig, generators, run_all
-from fano72.checks import resolve_pencil, scroll_suite
+from fano72 import (ConfigurationError, LinearSystem, VerifyConfig,
+                    build_degree12_system, checks, generators, run_all)
+from fano72.checks import resolve_pencil, scroll_suite, theorem_suite
 from fano72.cli import main
 from fano72.linsys import P3_VARS
 
@@ -63,6 +64,36 @@ def test_alternative_pencil_passes():
     assert all(r.status == "PASS" for r in records)
 
 
+def test_theorem_suite_fails_on_a_tampered_degree12_system():
+    pencil = resolve_pencil(None)
+    full = build_degree12_system(pencil)
+    tampered = LinearSystem(P3_VARS, 12, [g for g in full.generators if g != X2 ** 12])
+    records = {r.check_id: r for r in theorem_suite(pencil, tampered)}
+    assert records["theorem.rank.pullback"].computed == "39"
+    assert records["theorem.rank.direct"].computed == "38"
+    assert records["theorem.containment.forward"].computed == "38/39"
+    assert records["theorem.containment.reverse"].computed == "38/38"
+    assert records["theorem.identity"].computed == "FAIL"
+    assert records["theorem.identity"].status == "FAIL"
+
+
+def test_run_all_builds_each_system_once(monkeypatch):
+    calls = {"sextic": 0, "degree12": 0}
+
+    def counted(name, build):
+        def wrapper(pencil):
+            calls[name] += 1
+            return build(pencil)
+        return wrapper
+
+    monkeypatch.setattr(checks, "build_sextic_system",
+                        counted("sextic", checks.build_sextic_system))
+    monkeypatch.setattr(checks, "build_degree12_system",
+                        counted("degree12", checks.build_degree12_system))
+    assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
+    assert calls == {"sextic": 1, "degree12": 1}
+
+
 def test_scroll_suite_alone():
     records = scroll_suite()
     assert all(r.status == "PASS" for r in records)
@@ -114,7 +145,11 @@ def test_cli_hilbert(capsys):
 
 
 def test_cli_hilbert_rejects_bad_weights(capsys):
-    assert main(["hilbert", "--weights", "1,zero", "--degree", "3"]) == 2
+    for weights, degree in (("1,zero", "3"), ("1,0", "3"), ("1,1", "-3")):
+        assert main(["hilbert", "--weights", weights, "--degree", degree]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_wps(capsys):

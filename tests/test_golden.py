@@ -1,0 +1,48 @@
+"""Golden reports: the ``run_all`` records, minus ``elapsed``, must not change.
+
+Each golden file under ``tests/golden/`` holds one configuration's records as
+JSON lines, rendered exactly as ``fano72 verify --json`` writes them but
+without the ``elapsed`` field.  A refactor that claims "same behaviour" keeps
+every file byte-identical.  To regenerate after an intended change of the
+records, run ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from fano72 import VerifyConfig, run_all
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOTS_157 = "x2^3 - 13*x1*x2^2 + 47*x1^2*x2 - 35*x1^3"
+
+GOLDEN_CONFIGS = {
+    "all-default-seed0": VerifyConfig(suite="all", seed=0),
+    "all-default-seed3": VerifyConfig(suite="all", seed=3),
+    "all-roots157-seed0": VerifyConfig(xi_text=ROOTS_157, suite="all", seed=0),
+    "all-roots157-seed3": VerifyConfig(xi_text=ROOTS_157, suite="all", seed=3),
+    "sprime-default-seed0": VerifyConfig(suite="sprime", seed=0),
+}
+
+
+def render(config: VerifyConfig) -> str:
+    lines = []
+    for record in run_all(config):
+        row = asdict(record)
+        row.pop("elapsed")
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_records_match_golden(name):
+    golden = (GOLDEN_DIR / f"{name}.jsonl").read_text(encoding="utf-8")
+    assert render(GOLDEN_CONFIGS[name]) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, config in GOLDEN_CONFIGS.items():
+        (GOLDEN_DIR / f"{name}.jsonl").write_text(render(config), encoding="utf-8")

@@ -73,3 +73,22 @@ def test_nullspace_vectors_solve_the_system():
                 assert sum(r * v for r, v in zip(row, vector)) == 0
         # basis vectors are independent
         assert rank_of_rows([list(v) for v in basis]) == len(basis)
+
+
+def test_nullspace_vectors_are_the_reduced_echelon_solutions():
+    # A column is free iff it does not raise the rank of the columns before it;
+    # the solution with 1 at one free column and 0 at the others is unique.
+    rng = random.Random(29)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        free = [c for c in range(ncols)
+                if rref_rank([row[:c + 1] for row in rows]) == rref_rank([row[:c] for row in rows])]
+        basis = nullspace_basis(rows, ncols)
+        assert len(basis) == len(free)
+        for f, vector in zip(free, basis):
+            assert all(isinstance(v, Fraction) for v in vector)
+            assert [vector[c] for c in free] == [int(c == f) for c in free]
+            for row in rows:
+                assert sum(r * v for r, v in zip(row, vector)) == 0

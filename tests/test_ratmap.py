@@ -127,10 +127,14 @@ def test_span_identity_for_the_default_pencil():
 
 
 def test_span_identity_for_other_pencils():
-    for roots in ((1, 5, 7), (-1, Fraction(2, 3), 4)):
-        report = check_span_identity(PencilCubic.from_roots(roots))
+    basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
+    for roots in ((1, 2, 3), (1, 5, 7), (-3, Fraction(1, 2), 11), (-1, Fraction(2, 3), 4)):
+        pencil = PencilCubic.from_roots(roots)
+        report = check_span_identity(pencil)
         assert report.passed
         assert report.rank_a == report.rank_b == 39
+        assert set(pullback_system(weighted_parametrization(pencil), basis).generators) == \
+            set(build_degree12_system(pencil).generators)
 
 
 def test_tampered_system_fails_with_named_offender():
