@@ -22,8 +22,7 @@ from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
                    SubstitutionError, generators, monomial_text,
                    parse_polynomial)
 from .ratmap import (GradedRationalMap, GradingError, TARGET_VARS,
-                     check_span_identity, pullback_system,
-                     weighted_parametrization)
+                     pullback_system, weighted_parametrization)
 from .wps import WeightedProjectiveSpace
 
 __version__ = "0.1.0"

@@ -16,13 +16,12 @@ from typing import Callable
 
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .grading import hilbert_count, is_homogeneous
-from .linalg import rank_of_rows
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
                      X3, X4, build_degree12_system, build_sextic_system,
                      compare_spans, coordinate_plane_residual, factor_out,
                      is_scalar_multiple, multiplicity_along_line,
                      random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, sextic_constraint_rows,
+                     restrict_to_pencil_plane, sextic_constraint_monomials,
                      solve_sextic_constraints)
 from .poly import ParseError, Polynomial
 from .ratmap import pullback_system, weighted_parametrization
@@ -236,10 +235,12 @@ def sprime_records(pencil: PencilCubic, system: LinearSystem | None = None) -> l
     if system is None:
         system = build_sextic_system(pencil)
     solved = solve_sextic_constraints(pencil)
+    # The elimination yields one solution per non-pivot column, so the
+    # constraint rank is the column count minus the solution count.
     _run(records, "system-s.sprime.rank", "rank of the incidence-constraint matrix",
          "the 8 incidence conditions (one per coordinate plane, two per pencil "
          "root) are linearly independent",
-         8, lambda: rank_of_rows(sextic_constraint_rows(pencil)[1]))
+         8, lambda: len(sextic_constraint_monomials()) - len(solved.generators))
     _run(records, "system-s.sprime.dim", "solution dimension of the incidence constraints",
          "the constraint-cut space of sextics has vector dimension 11 "
          "(projective dimension 10)",

@@ -146,7 +146,8 @@ class PencilCubic:
         if len(roots) != 3:
             raise InvalidPencilError(f"the cubic {f} does not split into rational planes")
         pencil = cls.from_roots(roots, scale)
-        assert pencil.cubic == f
+        if pencil.cubic != f:
+            raise InvalidPencilError(f"the cubic {f} is not the product of its root planes")
         return pencil
 
     @classmethod
@@ -291,14 +292,23 @@ def multiplicity_along_line(f: Polynomial) -> int:
     return f.min_degree_in(("x1", "x2"))
 
 
+def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Fraction], ...]:
+    if f.ring != P3_VARS:
+        raise ArityError(f"expected a polynomial in the ring {P3_VARS}, got {f.ring}")
+    return f.items()
+
+
+# Each restriction below sends a term to at most one term, so it maps
+# f.items() directly; the Polynomial constructor merges terms that collide.
+
 def restrict_to_pencil(f: Polynomial) -> Polynomial:
     """Substitute x2 = t*x1 with a symbolic pencil parameter t.
 
     The result lives in the ring (t, x1, x3, x4), so restrictions to the
     whole pencil of planes through the line x1 = x2 = 0 stay exact.
     """
-    t, x1, x3, x4 = generators(PENCIL_VARS)
-    return f.substitute({"x1": x1, "x2": t * x1, "x3": x3, "x4": x4})
+    return Polynomial(PENCIL_VARS, (((b, a + b, c, d), k)
+                                    for (a, b, c, d), k in _p3_items(f)))
 
 
 def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
@@ -318,7 +328,9 @@ def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
 
 def restrict_to_pencil_plane(f: Polynomial, tau: Fraction | int) -> Polynomial:
     """Restrict to the single pencil plane x2 = tau*x1 (stays in the P^3 ring)."""
-    return f.replace("x2", Fraction(tau) * X1)
+    tau = Fraction(tau)
+    return Polynomial(P3_VARS, (((a + b, 0, c, d), k * tau ** b)
+                                for (a, b, c, d), k in _p3_items(f)))
 
 
 def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
@@ -332,7 +344,8 @@ def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
     if plane not in ("x1", "x2"):
         raise ValueError("the coordinate planes of the pencil are x1 = 0 and x2 = 0")
     other = "x2" if plane == "x1" else "x1"
-    restricted = f.replace(plane, 0)
+    i = P3_VARS.index(plane)
+    restricted = Polynomial(P3_VARS, ((e, k) for e, k in _p3_items(f) if not e[i]))
     if restricted.is_zero:
         return restricted
     return factor_out(restricted, other, 5)

@@ -294,7 +294,6 @@ class Polynomial:
             elif image.ring != target:
                 raise SubstitutionError(
                     f"images live in different rings: {target} vs {image.ring}")
-        assert target is not None
         powers: dict[str, list[Polynomial]] = {}
 
         def image_power(name: str, k: int) -> Polynomial:
@@ -315,16 +314,6 @@ class Polynomial:
                 term = term * image_power(name, e)
             result = result + term
         return result
-
-    def replace(self, name: str, value: Polynomial | Coefficient) -> Polynomial:
-        """Substitute a single variable, keeping all others fixed (same ring)."""
-        if name not in self.ring:
-            raise ArityError(f"variable {name!r} is not in the ring {self.ring}")
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(self.ring, value)
-        images = {v: Polynomial.variable(self.ring, v) for v in self.ring}
-        images[name] = value
-        return self.substitute(images)
 
     def evaluate(self, values: Mapping[str, Coefficient]) -> Fraction:
         """Evaluate at a rational point; every occurring variable needs a value."""

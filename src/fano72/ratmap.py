@@ -3,9 +3,10 @@
 The central map sends [x1, x2, x3, x4] to
 [x1, x2, x3*xi(x1, x2), x1*x2*x4*xi(x1, x2)] in P(1, 1, 4, 6); pulling the
 39 anticanonical monomials back along it must reproduce, as a span, the
-degree-12 system built directly from the pencil cubic.  That span identity
-is the computable content of the identification of the scroll-cone image
-with anticanonically embedded P(1, 1, 4, 6).
+degree-12 system built directly from the pencil cubic.  That span identity,
+compared in ``checks.theorem_suite``, is the computable content of the
+identification of the scroll-cone image with anticanonically embedded
+P(1, 1, 4, 6).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Sequence
 
 from .grading import (ANY_DEGREE, WeightSystem, Weights, is_homogeneous,
                       weighted_degree, _weights_tuple)
-from .linsys import (LinearSystem, P3_VARS, PencilCubic, SpanIdentityReport,
-                     X1, X2, X3, X4, build_degree12_system, compare_spans)
+from .linsys import LinearSystem, P3_VARS, PencilCubic, X1, X2, X3, X4
 from .poly import Exponents, Polynomial
 
 TARGET_VARS = ("y1", "y2", "y3", "y4")
@@ -118,19 +118,3 @@ def pullback_system(phi: GradedRationalMap, basis: Sequence[Exponents]) -> Linea
     degree = degrees.pop()
     gens = [phi.pullback_monomial(e) for e in basis]
     return LinearSystem(phi.source_ring, phi.multiplier * degree, gens)
-
-
-def check_span_identity(pencil: PencilCubic) -> SpanIdentityReport:
-    """Certify that pulling back the anticanonical basis matches the degree-12 system.
-
-    Both spans are compared by mutual membership plus equal rank; failures
-    name the offending generators.
-    """
-    from .wps import WeightedProjectiveSpace
-
-    space = WeightedProjectiveSpace((1, 1, 4, 6))
-    eta = weighted_parametrization(pencil)
-    pulled = pullback_system(eta, space.anticanonical_basis())
-    direct = build_degree12_system(pencil)
-    return compare_spans(pulled, direct,
-                         label_a="anticanonical pullback", label_b="degree-12 system")

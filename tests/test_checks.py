@@ -1,11 +1,14 @@
 import json
+import time
 from dataclasses import asdict
 
 import pytest
 
 from fano72 import (ConfigurationError, LinearSystem, VerifyConfig,
-                    build_degree12_system, checks, generators, run_all)
-from fano72.checks import resolve_pencil, scroll_suite, theorem_suite
+                    build_degree12_system, checks, cli, generators, linsys,
+                    run_all)
+from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
+                           theorem_suite)
 from fano72.cli import main
 from fano72.linsys import P3_VARS
 
@@ -78,7 +81,7 @@ def test_theorem_suite_fails_on_a_tampered_degree12_system():
 
 
 def test_run_all_builds_each_system_once(monkeypatch):
-    calls = {"sextic": 0, "degree12": 0}
+    calls = {"sextic": 0, "degree12": 0, "constraints": 0}
 
     def counted(name, build):
         def wrapper(pencil):
@@ -90,8 +93,16 @@ def test_run_all_builds_each_system_once(monkeypatch):
                         counted("sextic", checks.build_sextic_system))
     monkeypatch.setattr(checks, "build_degree12_system",
                         counted("degree12", checks.build_degree12_system))
-    assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
-    assert calls == {"sextic": 1, "degree12": 1}
+    # Counted wherever the suites could reach it, so a second elimination in
+    # checks would show up as well as one inside solve_sextic_constraints.
+    rows = counted("constraints", linsys.sextic_constraint_rows)
+    for module in (linsys, checks):
+        monkeypatch.setattr(module, "sextic_constraint_rows", rows, raising=False)
+    for suite, expected in (("all", {"sextic": 1, "degree12": 1, "constraints": 1}),
+                            ("sprime", {"sextic": 1, "degree12": 0, "constraints": 1})):
+        calls.update(dict.fromkeys(calls, 0))
+        assert all(r.status == "PASS" for r in run_all(VerifyConfig(suite=suite)))
+        assert calls == expected, suite
 
 
 def test_scroll_suite_alone():
@@ -118,10 +129,11 @@ def test_cli_verify_all_writes_json(tmp_path, capsys):
 def test_cli_verify_suite_positional_and_flag(capsys):
     assert main(["verify", "wps"]) == 0
     positional = capsys.readouterr().out
-    assert main(["verify", "--suite", "wps"]) == 0
-    flagged = capsys.readouterr().out
-    assert positional.splitlines()[0] == flagged.splitlines()[0]
+    assert positional.splitlines()[0].startswith("PASS  wps.weight.1146")
     assert "wps.degree.1146" in positional
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--suite", "wps"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_verify_theorem_with_alternate_pencil(capsys):
@@ -165,13 +177,29 @@ def test_cli_wps_rejects_ill_formed_weights(capsys):
 
 
 def test_cli_scroll_check(capsys):
-    assert main(["scroll-check"]) == 0
+    assert main(["verify", "scroll"]) == 0
     assert "scroll.selfint" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scroll-check"])
+    assert exit_info.value.code == 2
 
 
-def test_cli_exit_code_one_on_any_failure(capsys):
-    from fano72.checks import CheckRecord
-    from fano72.cli import _finish
+def test_cli_exit_code_one_on_any_failure(monkeypatch, capsys):
     records = [CheckRecord("demo.fail", "demo", "plumbing", "FAIL", "1", "2", 0.0)]
-    assert _finish(records, None) == 1
+    monkeypatch.setattr(cli, "run_all", lambda config: records)
+    assert main(["verify"]) == 1
     assert "1 failed" in capsys.readouterr().out
+
+
+def test_cli_summary_reports_wall_time(monkeypatch, tmp_path, capsys):
+    def slow_run_all(config):
+        time.sleep(0.3)
+        return [CheckRecord("demo.pass", "demo", "plumbing", "PASS", "1", "1", 0.0)]
+
+    monkeypatch.setattr(cli, "run_all", slow_run_all)
+    path = tmp_path / "report.jsonl"
+    assert main(["verify", "--json", str(path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("1 checks: 1 passed, 0 failed (")
+    assert float(summary.rsplit("(", 1)[1].rstrip("s)")) >= 0.3
+    assert json.loads(path.read_text())["elapsed"] == 0.0

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from fano72 import (ExactDivisionError, InvalidPencilError, LinearSystem,
-                    Polynomial, build_degree12_system, build_sextic_system,
+from fano72 import (ArityError, ExactDivisionError, InvalidPencilError,
+                    LinearSystem, Polynomial, build_degree12_system, build_sextic_system,
                     compare_spans, coordinate_plane_residual, factor_out,
                     generators, is_homogeneous, is_scalar_multiple,
                     multiplicity_along_line, random_member, restrict_to_pencil,
                     restrict_to_pencil_plane, solve_sextic_constraints)
+from fano72 import linsys
+from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic,
                            sextic_constraint_rows)
 
@@ -70,6 +72,18 @@ def test_x1_component_is_rejected():
     # no x2^3 term means the plane x1 = 0 divides the cubic
     with pytest.raises(InvalidPencilError):
         PencilCubic.from_polynomial(X1 * X2 ** 2 - 3 * X1 ** 2 * X2 + 2 * X1 ** 3)
+
+
+def test_wrong_roots_are_rejected_by_an_explicit_check(monkeypatch, capsys):
+    # The product check must survive python -O, so it cannot be an assert.
+    monkeypatch.setattr(linsys, "_rational_roots",
+                        lambda coeffs: [Fraction(1), Fraction(2), Fraction(4)])
+    with pytest.raises(InvalidPencilError):
+        PencilCubic.from_polynomial(DEFAULT.cubic)
+    assert main(["verify", "--xi", str(DEFAULT.cubic)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
 
 
 def test_non_cubic_inputs_are_rejected():
@@ -173,6 +187,39 @@ def test_factor_out():
     assert factor_out(f, "x1", 5) == X3 + X1
     with pytest.raises(ExactDivisionError):
         factor_out(X1 ** 2 + X2 ** 2, "x1", 1)
+
+
+def test_restrictions_agree_with_substitution():
+    t, p1, p3, p4 = generators(PENCIL_VARS)
+    zero = Polynomial.zero(P3_VARS)
+    rng = random.Random(11)
+    for roots in ((1, 2, 3), (1, 5, 7), (-3, Fraction(1, 2), 11),
+                  (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))):
+        pencil = PencilCubic.from_roots(roots)
+        polys = []
+        for system in (build_sextic_system(pencil), build_degree12_system(pencil)):
+            polys += list(system.generators) + [random_member(system, rng)]
+        for f in polys:
+            assert restrict_to_pencil(f) == f.substitute(
+                {"x1": p1, "x2": t * p1, "x3": p3, "x4": p4})
+            for tau in pencil.roots + (Fraction(-5, 3),):
+                assert restrict_to_pencil_plane(f, tau) == f.substitute(
+                    {"x1": X1, "x2": tau * X1, "x3": X3, "x4": X4})
+            for plane, other in (("x1", "x2"), ("x2", "x1")):
+                images = {"x1": X1, "x2": X2, "x3": X3, "x4": X4, plane: zero}
+                assert coordinate_plane_residual(f, plane) == \
+                    factor_out(f.substitute(images), other, 5)
+
+
+def test_restrictions_reject_other_rings():
+    swapped = Polynomial(("x2", "x1", "x3", "x4"), {(6, 0, 0, 0): 1})
+    for f in (restrict_to_pencil(X2 ** 6), swapped):
+        with pytest.raises(ArityError):
+            restrict_to_pencil(f)
+        with pytest.raises(ArityError):
+            restrict_to_pencil_plane(f, 2)
+        with pytest.raises(ArityError):
+            coordinate_plane_residual(f, "x1")
 
 
 # -- the sextic system --------------------------------------------------------

@@ -172,9 +172,3 @@ def test_round_trip_randomized():
 def test_polynomials_are_immutable():
     with pytest.raises(AttributeError):
         X1.ring = ("x1",)
-
-
-def test_replace_single_variable():
-    f = X1 * X2 + X3 ** 2
-    assert f.replace("x2", 0) == X3 ** 2
-    assert f.replace("x2", 2 * X1) == 2 * X1 ** 2 + X3 ** 2

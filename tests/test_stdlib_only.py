@@ -1,4 +1,5 @@
-"""The runtime imports the standard library only, and never the test oracles."""
+"""The runtime imports the standard library only, never the test oracles, and
+holds no assert statement (python -O strips them)."""
 
 import ast
 import sys
@@ -30,3 +31,10 @@ def test_runtime_never_imports_the_oracles():
     for path in SOURCES:
         for module, _ in _imports(path):
             assert "oracles" not in module.split("."), f"{path.name} imports {module}"
+
+
+def test_runtime_has_no_assert_statements():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
