@@ -11,7 +11,7 @@ from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .checks import (CheckRecord, ConfigurationError, VerifyConfig, run_all)
 from .grading import (ANY_DEGREE, WeightSystem, enumerate_monomials,
                       hilbert_count, is_homogeneous, weighted_degree)
-from .linalg import RowSpace, nullspace_basis, rank_of_rows
+from .linalg import RowSpace, nullspace_basis
 from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
                      PencilCubic, SpanIdentityReport, build_degree12_system,
                      build_sextic_system, compare_spans,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from time import perf_counter
 
@@ -39,19 +40,24 @@ def _print_records(records: list[CheckRecord]) -> None:
         print(f"{r.status:<4}  {r.check_id:<{width}}  {value}  | {r.claim}")
 
 
-def _write_json(records: list[CheckRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for r in records:
-            handle.write(json.dumps(asdict(r)) + "\n")
+def _open_json(path: str | None):
+    """The --json output, opened before any check runs so a bad path fails fast."""
+    if path is None:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as error:
+        raise ConfigurationError(f"cannot write --json output {path!r}: {error.strerror}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
-    records = run_all(VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed))
-    _print_records(records)
-    if args.json:
-        _write_json(records, args.json)
+    with _open_json(args.json) as handle:
+        records = run_all(VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed))
+        _print_records(records)
+        if handle:
+            handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
     failed = sum(1 for r in records if r.status == "FAIL")
     print(f"{len(records)} checks: {len(records) - failed} passed, "
           f"{failed} failed ({perf_counter() - started:.2f}s)")

@@ -1,10 +1,13 @@
 """Exact linear algebra: fraction-free rank and rational nullspace.
 
-Rows are sparse mappings {column: value}.  Incoming rational rows are
-scaled to primitive integer rows (common denominator cleared, content
-divided out, leading entry positive), and elimination uses integer
-cross-multiplication only, so no rounding or pivot-size tolerance exists
-anywhere.
+Rows are sparse mappings {column: value}, or dense sequences whose columns
+are their positions.  Columns are any mutually comparable hashable keys,
+since the smallest column of a row is its pivot: integer positions, or the
+exponent tuples of one ring, as ``LinearSystem`` uses them.  Incoming
+rational rows are scaled to primitive integer rows (common denominator
+cleared, content divided out, leading entry positive), and elimination
+uses integer cross-multiplication only, so no rounding or pivot-size
+tolerance exists anywhere.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 
-IntRow = dict[int, int]
+IntRow = dict[Hashable, int]
 
 
 def _primitive(row: IntRow) -> IntRow:
@@ -27,7 +30,7 @@ def _primitive(row: IntRow) -> IntRow:
     return {c: v // content for c, v in row.items()}
 
 
-def _to_int_row(row: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> IntRow:
+def _to_int_row(row: Mapping[Hashable, Fraction | int] | Sequence[Fraction | int]) -> IntRow:
     if not isinstance(row, Mapping):
         row = {i: v for i, v in enumerate(row)}
     entries = {c: Fraction(v) for c, v in row.items() if v}
@@ -40,15 +43,10 @@ def _to_int_row(row: Mapping[int, Fraction | int] | Sequence[Fraction | int]) ->
 class RowSpace:
     """An echelon basis of a rational row space, built incrementally."""
 
-    def __init__(self, rows: Iterable[Mapping[int, Fraction | int] | Sequence] = ()):
-        self._pivots: dict[int, IntRow] = {}
+    def __init__(self, rows: Iterable[Mapping[Hashable, Fraction | int] | Sequence] = ()):
+        self._pivots: dict[Hashable, IntRow] = {}
         for row in rows:
             self.insert(row)
-
-    def copy(self) -> RowSpace:
-        clone = RowSpace()
-        clone._pivots = {c: dict(r) for c, r in self._pivots.items()}
-        return clone
 
     @property
     def rank(self) -> int:
@@ -81,10 +79,6 @@ class RowSpace:
             return False
         self._pivots[min(residual)] = residual
         return True
-
-
-def rank_of_rows(rows: Iterable) -> int:
-    return RowSpace(rows).rank
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:

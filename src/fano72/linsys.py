@@ -118,7 +118,8 @@ class PencilCubic:
         if len(roots) != 3:
             raise InvalidPencilError(f"need exactly three pencil roots, got {len(roots)}")
         if len(set(roots)) != 3:
-            raise InvalidPencilError(f"pencil roots must be pairwise distinct, got {roots}")
+            raise InvalidPencilError(
+                f"pencil roots must be pairwise distinct, got {', '.join(map(str, roots))}")
         if any(r == 0 for r in roots):
             raise InvalidPencilError("pencil roots must be nonzero (the plane x2 = 0 is reserved)")
         if scale == 0:
@@ -166,10 +167,10 @@ class LinearSystem:
 
     Generators are rescaled to leading coefficient 1, deduplicated, and
     zero inputs dropped; the span is unchanged by any of this.  Rank data
-    is computed lazily over the full monomial basis of the graded piece.
+    is computed lazily over coefficient vectors keyed by exponent tuple.
     """
 
-    __slots__ = ("ring", "degree", "generators", "_columns", "_column_index", "_row_space")
+    __slots__ = ("ring", "degree", "generators", "_row_space")
 
     def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
         ring = tuple(ring)
@@ -192,8 +193,6 @@ class LinearSystem:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(normalized))
-        object.__setattr__(self, "_columns", None)
-        object.__setattr__(self, "_column_index", None)
         object.__setattr__(self, "_row_space", None)
 
     def __setattr__(self, name, value):
@@ -203,17 +202,8 @@ class LinearSystem:
         return (f"LinearSystem(degree={self.degree}, "
                 f"generators={len(self.generators)}, ring={self.ring})")
 
-    def columns(self) -> list[Exponents]:
-        """All degree-d monomials of the ring, fixing the coefficient-matrix columns."""
-        if self._columns is None:
-            cols = enumerate_monomials((1,) * len(self.ring), self.degree)
-            object.__setattr__(self, "_columns", cols)
-            object.__setattr__(self, "_column_index", {e: i for i, e in enumerate(cols)})
-        return self._columns
-
-    def coefficient_vector(self, f: Polynomial) -> dict[int, Fraction]:
-        self.columns()
-        return {self._column_index[e]: c for e, c in f.items()}
+    def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Fraction]:
+        return dict(f.items())
 
     def row_space(self) -> RowSpace:
         if self._row_space is None:
@@ -456,8 +446,8 @@ def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:
 
 def random_member(system: LinearSystem, rng) -> Polynomial:
     """A pseudo-random rational combination of the generators, all coefficients nonzero."""
-    member = Polynomial.zero(system.ring)
+    terms: list[tuple[Exponents, Fraction]] = []
     for g in system.generators:
         coefficient = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
-        member = member + coefficient * g
-    return member
+        terms.extend((coefficient * g).items())
+    return Polynomial(system.ring, terms)

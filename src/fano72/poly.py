@@ -79,6 +79,8 @@ class Polynomial:
     ``ring`` is the tuple of variable names; ``terms`` maps exponent tuples
     to nonzero coefficients.  Construction normalizes: coefficients are
     coerced to ``Fraction``, zero terms dropped, and the term order fixed.
+    It is the only place terms are merged: ``+``, ``*`` and ``substitute``
+    hand it their raw, possibly colliding terms.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -149,12 +151,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int | None:
-        """Maximal total degree of a term, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
-
     def uses_variable(self, name: str) -> bool:
         i = self._index(name)
         return any(e[i] for e in self._terms)
@@ -198,14 +194,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exponents, coefficient in other._terms.items():
-            total = terms.get(exponents, _ZERO) + coefficient
-            if total:
-                terms[exponents] = total
-            else:
-                del terms[exponents]
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, (*self._terms.items(), *other._terms.items()))
 
     __radd__ = __add__
 
@@ -228,16 +217,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        product: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exponents = tuple(a + b for a, b in zip(e1, e2))
-                total = product.get(exponents, _ZERO) + c1 * c2
-                if total:
-                    product[exponents] = total
-                else:
-                    del product[exponents]
-        return Polynomial(self.ring, product)
+        return Polynomial(self.ring, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                      for e1, c1 in self._terms.items()
+                                      for e2, c2 in other._terms.items()))
 
     __rmul__ = __mul__
 
@@ -302,7 +284,7 @@ class Polynomial:
                 cache.append(cache[-1] * images[name])
             return cache[k]
 
-        result = Polynomial.zero(target)
+        terms: list[tuple[Exponents, Fraction]] = []
         for exponents, coefficient in self._terms.items():
             term = Polynomial.constant(target, coefficient)
             for i, e in enumerate(exponents):
@@ -312,23 +294,8 @@ class Polynomial:
                 if name not in images:
                     raise SubstitutionError(f"no image for variable {name!r} occurring in {self}")
                 term = term * image_power(name, e)
-            result = result + term
-        return result
-
-    def evaluate(self, values: Mapping[str, Coefficient]) -> Fraction:
-        """Evaluate at a rational point; every occurring variable needs a value."""
-        total = _ZERO
-        for exponents, coefficient in self._terms.items():
-            term = coefficient
-            for i, e in enumerate(exponents):
-                if not e:
-                    continue
-                name = self.ring[i]
-                if name not in values:
-                    raise SubstitutionError(f"no value for variable {name!r} occurring in {self}")
-                term *= Fraction(values[name]) ** e
-            total += term
-        return total
+            terms.extend(term.items())
+        return Polynomial(target, terms)
 
     def exact_divide(self, divisor: Polynomial) -> Polynomial:
         """Return q with self == q * divisor, or raise ExactDivisionError.

@@ -1,15 +1,17 @@
 """Independent oracles and randomized case generators shared by the tests.
 
-Everything here deliberately avoids the library's own code paths: ranks are
-recomputed by dense Gaussian elimination over fractions, graded pieces by
-brute-force exponent products, and Hilbert counts by literal truncated
-series multiplication.  Frozen expected values in the tests were produced
+Everything here deliberately avoids the library's own code paths: polynomial
+sums, products and substitutions are recomputed on plain term dicts, ranks
+by dense Gaussian elimination over fractions, graded pieces by brute-force
+exponent products, and Hilbert counts by literal truncated series
+multiplication.  Frozen expected values in the tests were produced
 by these oracles.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +36,89 @@ def rand_poly(rng: random.Random, ring, max_terms: int = 3, max_exp: int = 2,
     if not allow_zero and p.is_zero:
         return Polynomial.constant(ring, 1)
     return p
+
+
+# -- naive term-dict arithmetic, the polynomial oracle ---------------------
+#
+# A term dict maps exponent tuples to Fractions.  Each operation accumulates
+# into a defaultdict and drops zeros; canonical_items orders a result
+# leading term first, as Polynomial.items() must.
+
+def naive_add(f: dict, g: dict) -> dict:
+    total = defaultdict(Fraction)
+    for terms in (f, g):
+        for e, c in terms.items():
+            total[e] += c
+    return {e: c for e, c in total.items() if c}
+
+
+def naive_mul(f: dict, g: dict) -> dict:
+    total = defaultdict(Fraction)
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            total[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
+    return {e: c for e, c in total.items() if c}
+
+
+def naive_substitute(f: dict, images: list[dict], target_arity: int) -> dict:
+    """Replace the i-th variable of f by images[i], term by term, power by power."""
+    result: dict = {}
+    for e, c in f.items():
+        term = {(0,) * target_arity: c}
+        for image, k in zip(images, e):
+            for _ in range(k):
+                term = naive_mul(term, image)
+        result = naive_add(result, term)
+    return result
+
+
+def canonical_items(terms: dict) -> list:
+    """The terms in graded lexicographic order, leading term first."""
+    return sorted(terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+
+
+def evaluate(p: Polynomial, values) -> Fraction:
+    """Value of p at a rational point given as {variable name: value}."""
+    total = Fraction(0)
+    for e, c in p.items():
+        term = Fraction(c)
+        for name, k in zip(p.ring, e):
+            if k:
+                term *= Fraction(values[name]) ** k
+        total += term
+    return total
+
+
+def arithmetic_oracle_failures(seed: int, cases: int) -> list[str]:
+    """Compare +, * and substitute with the naive term-dict oracle.
+
+    Fixed cases cover the zero polynomial, cancellation to zero and
+    colliding products; the random cases make every third right operand
+    cancel part of the left one.
+    """
+    rng = random.Random(seed)
+    ring, target = ("a", "b", "c"), ("u", "v")
+    a, b, c = (Polynomial.variable(ring, name) for name in ring)
+    zero = Polynomial.zero(ring)
+    pairs = [(zero, zero), (zero, a + 1), (a + b, -(a + b)), (a + b, a - b),
+             (a + b, a + b), (a * b - b * c, a * c + b), (a - 1, a ** 2 + a + 1)]
+    for case in range(cases):
+        f = rand_poly(rng, ring, max_terms=4)
+        g = rand_poly(rng, ring, max_terms=4)
+        pairs.append((f, g - f if case % 3 == 0 else g))
+    failures = []
+    for case, (f, g) in enumerate(pairs):
+        tf, tg = dict(f.items()), dict(g.items())
+        if list((f + g).items()) != canonical_items(naive_add(tf, tg)):
+            failures.append(f"+ disagrees with the oracle at case {case}")
+        if list((f * g).items()) != canonical_items(naive_mul(tf, tg)):
+            failures.append(f"* disagrees with the oracle at case {case}")
+        images = [rand_poly(rng, target) for _ in ring]
+        pulled = f.substitute(dict(zip(ring, images)))
+        expected = naive_substitute(tf, [dict(i.items()) for i in images], len(target))
+        if pulled.ring != target or list(pulled.items()) != canonical_items(expected):
+            failures.append(f"substitute disagrees with the oracle at case {case}")
+    return failures
 
 
 # -- dense rational elimination, the rank oracle ---------------------------

@@ -148,6 +148,31 @@ def test_cli_rejects_bad_pencil(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_pencil_error_renders_roots_as_text(capsys):
+    assert main(["verify", "--xi", "x2^3 - x1*x2^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: ")
+    assert "got 0, 0, 1" in captured.err
+    assert "Fraction(" not in captured.err
+
+
+def test_cli_unwritable_json_path_is_a_configuration_error(monkeypatch, tmp_path, capsys):
+    def no_run(config):
+        raise AssertionError("checks ran before the --json path was opened")
+
+    monkeypatch.setattr(cli, "run_all", no_run)
+    path = tmp_path / "missing" / "out.jsonl"
+    assert main(["verify", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
 def test_cli_hilbert(capsys):
     assert main(["hilbert", "--weights", "1,1,4,6", "--degree", "12"]) == 0
     assert "39 monomials" in capsys.readouterr().out

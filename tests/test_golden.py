@@ -17,6 +17,9 @@ from fano72 import VerifyConfig, run_all
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROOTS_157 = "x2^3 - 13*x1*x2^2 + 47*x1^2*x2 - 35*x1^3"
+# The pencil with roots (-9973/7, 13/9999, 5000/3), written as the benchmark's
+# perfbench/workloads.cubic_text renders it: tall coefficients in every system.
+ROOTS_TALL = "209979*x2^3 - 50805192*x1*x2^2 - 498600068947*x1^2*x2 + 648245000*x1^3"
 
 GOLDEN_CONFIGS = {
     "all-default-seed0": VerifyConfig(suite="all", seed=0),
@@ -24,6 +27,7 @@ GOLDEN_CONFIGS = {
     "all-roots157-seed0": VerifyConfig(xi_text=ROOTS_157, suite="all", seed=0),
     "all-roots157-seed3": VerifyConfig(xi_text=ROOTS_157, suite="all", seed=3),
     "sprime-default-seed0": VerifyConfig(suite="sprime", seed=0),
+    "all-tall-seed0": VerifyConfig(xi_text=ROOTS_TALL, suite="all", seed=0),
 }
 
 

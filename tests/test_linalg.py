@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
 
-from fano72 import RowSpace, nullspace_basis, rank_of_rows
+from fano72 import RowSpace, enumerate_monomials, nullspace_basis
 
 from oracles import rref_rank
 
 
 def test_rank_of_identity_like_rows():
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert rank_of_rows(rows) == 3
+    assert RowSpace(rows).rank == 3
 
 
 def test_dependent_rows_collapse():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert rank_of_rows(rows) == 2
+    assert RowSpace(rows).rank == 2
 
 
 def test_contains_detects_membership():
@@ -37,20 +37,33 @@ def test_insert_reports_dependence():
     assert space.rank == 2
 
 
-def test_copy_is_independent():
-    space = RowSpace([[1, 0]])
-    clone = space.copy()
-    clone.insert([0, 1])
-    assert space.rank == 1 and clone.rank == 2
-
-
 def test_rank_matches_dense_elimination_oracle():
     rng = random.Random(17)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        assert rank_of_rows(rows) == rref_rank(rows)
+        assert RowSpace(rows).rank == rref_rank(rows)
+
+
+def test_exponent_tuple_columns_match_the_dense_oracle():
+    # Rows keyed by the exponent tuples of one graded piece, as LinearSystem
+    # builds them, against rref_rank over the same rows laid out densely.
+    columns = enumerate_monomials((1, 1, 1), 3)
+    rng = random.Random(31)
+    for _ in range(100):
+        support = rng.sample(columns, rng.randint(1, 4))
+        rows = [{e: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for e in support}
+                for _ in range(rng.randint(1, 5))]
+        dense = [[row.get(e, 0) for e in columns] for row in rows]
+        space = RowSpace(rows)
+        assert space.rank == rref_rank(dense)
+        combination = {e: sum(rng.randint(-2, 2) * row.get(e, 0) for row in rows)
+                       for e in support}
+        stray = {e: Fraction(rng.randint(-2, 2)) for e in rng.sample(columns, 2)}
+        for probe in (combination, stray):
+            expected = rref_rank(dense + [[probe.get(e, 0) for e in columns]]) == rref_rank(dense)
+            assert space.contains(probe) == expected
 
 
 def test_nullspace_of_a_known_matrix():
@@ -72,7 +85,7 @@ def test_nullspace_vectors_solve_the_system():
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vector)) == 0
         # basis vectors are independent
-        assert rank_of_rows([list(v) for v in basis]) == len(basis)
+        assert RowSpace(basis).rank == len(basis)
 
 
 def test_nullspace_vectors_are_the_reduced_echelon_solutions():

@@ -7,7 +7,8 @@ from fano72 import (ArityError, ExactDivisionError, ParseError, Polynomial,
                     SubstitutionError, generators, parse_polynomial)
 from fano72.linsys import P3_VARS, PENCIL_VARS, PencilCubic
 
-from oracles import rand_poly, ring_axiom_failures, substitution_failures
+from oracles import (arithmetic_oracle_failures, evaluate, rand_poly,
+                     ring_axiom_failures, substitution_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 
@@ -24,8 +25,12 @@ def test_difference_of_squares():
 def test_cube_expansion_against_integer_evaluation():
     # oracle: evaluate the expansion at (x1, x2) = (1, 2); directly (2 - 1)^3 = 1
     cube = (X2 - X1) ** 3
-    assert cube.evaluate({"x1": 1, "x2": 2}) == 1
+    assert evaluate(cube, {"x1": 1, "x2": 2}) == 1
     assert cube == X2 ** 3 - 3 * X1 * X2 ** 2 + 3 * X1 ** 2 * X2 - X1 ** 3
+
+
+def test_arithmetic_against_naive_term_dict_oracle():
+    assert arithmetic_oracle_failures(seed=41, cases=300) == []
 
 
 def test_power_edge_cases():
