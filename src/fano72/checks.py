@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from time import perf_counter
 from typing import Callable
 
@@ -35,11 +35,16 @@ class ConfigurationError(Exception):
     """The requested run cannot start (bad pencil cubic or unknown suite)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
     xi_text: str | None = None
     suite: str = "all"
     seed: int = 0
+
+    @cached_property
+    def pencil(self) -> PencilCubic:
+        """The pencil ``xi_text`` names, resolved once per config."""
+        return resolve_pencil(self.xi_text)
 
 
 @dataclass
@@ -327,7 +332,7 @@ def theorem_suite(pencil: PencilCubic, direct: LinearSystem | None = None) -> li
 
 def run_all(config: VerifyConfig) -> list[CheckRecord]:
     """Run the selected suites in declaration order and return all records."""
-    pencil = resolve_pencil(config.xi_text)
+    pencil = config.pencil
     suite = config.suite or "all"
     if suite not in ("all",) + SUITES + EXTRA_SUITES:
         raise ConfigurationError(

@@ -18,6 +18,9 @@ from .grading import enumerate_monomials, hilbert_count
 from .poly import monomial_text
 from .wps import WeightedProjectiveSpace
 
+# Most monomials `hilbert --list` prints; the count is checked before listing.
+MAX_LISTED = 10 ** 5
+
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
@@ -53,8 +56,10 @@ def _open_json(path: str | None):
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
+    config = VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed)
+    config.pencil    # a bad pencil stops here, before --json can truncate or create its file
     with _open_json(args.json) as handle:
-        records = run_all(VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed))
+        records = run_all(config)
         _print_records(records)
         if handle:
             handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
@@ -70,6 +75,9 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         count = hilbert_count(weights, args.degree)
     except ValueError as error:
         raise ConfigurationError(str(error))
+    if args.list and count > MAX_LISTED:
+        raise ConfigurationError(f"--list would print {count} monomials, "
+                                 f"more than the cap of {MAX_LISTED}")
     print(f"weights {weights}, degree {args.degree}: {count} monomials")
     if args.list:
         names = _variable_names(len(weights))

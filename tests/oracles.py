@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own code paths: polynomial
 sums, products and substitutions are recomputed on plain term dicts, ranks
 by dense Gaussian elimination over fractions, graded pieces by brute-force
 exponent products, and Hilbert counts by literal truncated series
-multiplication.  Frozen expected values in the tests were produced
-by these oracles.
+multiplication or, at large degrees, by a closed sum.  Frozen expected
+values in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -172,6 +172,22 @@ def series_coefficients(weights, depth: int) -> list[int]:
         coefficients = [sum(coefficients[i] * factor[k - i] for i in range(k + 1))
                         for k in range(depth + 1)]
     return coefficients
+
+
+def closed_sum_count(a: int, b: int, degree: int) -> int:
+    """Monomials x1^i x2^j x3^k x4^l of weighted degree ``degree`` for weights (1, 1, a, b).
+
+    For fixed k and l the pairs (i, j) number degree - a*k - b*l + 1, so the
+    count is the sum of that over a*k + b*l <= degree.  For fixed l, with
+    r = degree - b*l, the sum over k is an arithmetic series of r // a + 1
+    terms, which leaves one loop of degree // b + 1 steps.
+    """
+    total = 0
+    for l in range(degree // b + 1):
+        r = degree - b * l
+        n = r // a + 1
+        total += n * (r + 1) - a * n * (n - 1) // 2
+    return total
 
 
 # -- the randomized property suites (counts chosen by the caller) -----------

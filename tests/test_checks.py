@@ -9,8 +9,11 @@ from fano72 import (ConfigurationError, LinearSystem, VerifyConfig,
                     run_all)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
-from fano72.cli import main
+from fano72.cli import MAX_LISTED, main
+from fano72.grading import MAX_DEGREE
 from fano72.linsys import P3_VARS
+
+from oracles import closed_sum_count
 
 X1, X2, X3, X4 = generators(P3_VARS)
 
@@ -173,6 +176,17 @@ def test_cli_unwritable_json_path_is_a_configuration_error(monkeypatch, tmp_path
     assert not path.exists()
 
 
+def test_cli_bad_pencil_leaves_the_json_path_untouched(tmp_path, capsys):
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("keep\n")
+    missing = tmp_path / "missing.jsonl"
+    for path in (kept, missing):
+        assert main(["verify", "--xi", "x2^3", "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: invalid pencil cubic")
+    assert kept.read_text() == "keep\n"
+    assert not missing.exists()
+
+
 def test_cli_hilbert(capsys):
     assert main(["hilbert", "--weights", "1,1,4,6", "--degree", "12"]) == 0
     assert "39 monomials" in capsys.readouterr().out
@@ -181,8 +195,25 @@ def test_cli_hilbert(capsys):
     assert "x4^2" in out
 
 
+def test_cli_hilbert_at_a_large_degree(capsys):
+    assert main(["hilbert", "--weights", "1,1,4,6", "--degree", "20000"]) == 0
+    assert capsys.readouterr().out.endswith(": 55605568890 monomials\n")
+    assert closed_sum_count(4, 6, 20000) == 55605568890
+
+
+def test_cli_hilbert_list_cap(capsys):
+    assert main(["hilbert", "--weights", "1,1,4,6", "--degree", "20000", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --list would print 55605568890")
+    assert captured.err.count("\n") == 1
+    assert main(["hilbert", "--weights", "1,1", "--degree", str(MAX_LISTED - 1), "--list"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + MAX_LISTED
+
+
 def test_cli_hilbert_rejects_bad_weights(capsys):
-    for weights, degree in (("1,zero", "3"), ("1,0", "3"), ("1,1", "-3")):
+    for weights, degree in (("1,zero", "3"), ("1,0", "3"), ("1,1", "-3"),
+                            ("1,1,4,6", str(MAX_DEGREE + 1))):
         assert main(["hilbert", "--weights", weights, "--degree", degree]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")

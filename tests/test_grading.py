@@ -5,9 +5,11 @@ import pytest
 from fano72 import (ANY_DEGREE, ArityError, Polynomial, WeightSystem,
                     enumerate_monomials, generators, hilbert_count,
                     is_homogeneous, weighted_degree)
+from fano72.grading import MAX_DEGREE
 from fano72.poly import grlex_key
 
-from oracles import brute_force_monomials, hilbert_consistency_failures
+from oracles import (brute_force_monomials, closed_sum_count,
+                     hilbert_consistency_failures)
 
 W1146 = (1, 1, 4, 6)
 
@@ -92,3 +94,18 @@ def test_hilbert_count_examples():
 
 def test_hilbert_count_against_enumeration_and_series():
     assert hilbert_consistency_failures(seed=33, cases=200) == []
+
+
+def test_hilbert_count_at_large_degree_against_closed_sum():
+    for degree in (2999, 3000):
+        assert hilbert_count(W1146, degree) == closed_sum_count(4, 6, degree)
+        assert hilbert_count((1, 1, 1, 3), degree) == closed_sum_count(1, 3, degree)
+
+
+def test_degree_cap():
+    assert hilbert_count((1,), MAX_DEGREE) == 1
+    for count in (hilbert_count, enumerate_monomials):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            count((1,), MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match="natural number"):
+            count((1,), -1)
