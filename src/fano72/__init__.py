@@ -10,7 +10,7 @@ anticanonically embedded weighted projective space P(1,1,4,6).
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .checks import (CheckRecord, ConfigurationError, VerifyConfig, run_all)
 from .grading import (ANY_DEGREE, WeightSystem, enumerate_monomials,
-                      hilbert_count, is_homogeneous, weighted_degree)
+                      hilbert_count, is_homogeneous)
 from .linalg import RowSpace, nullspace_basis
 from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
                      PencilCubic, SpanIdentityReport, build_degree12_system,
@@ -20,7 +20,7 @@ from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
                      restrict_to_pencil_plane, solve_sextic_constraints)
 from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
                    SubstitutionError, generators, monomial_text,
-                   parse_polynomial)
+                   parse_polynomial, substitute_all)
 from .ratmap import (GradedRationalMap, GradingError, TARGET_VARS,
                      pullback_system, weighted_parametrization)
 from .wps import WeightedProjectiveSpace

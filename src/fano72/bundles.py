@@ -81,18 +81,6 @@ class RuledClass:
         if self.e < 0:
             raise ValueError("the Hirzebruch invariant e must be a natural number")
 
-    def __add__(self, other: RuledClass) -> RuledClass:
-        if not isinstance(other, RuledClass):
-            return NotImplemented
-        if self.e != other.e:
-            raise ValueError(f"classes live on different surfaces: F_{self.e} vs F_{other.e}")
-        return RuledClass(self.e, self.a + other.a, self.b + other.b)
-
-    def __rmul__(self, scalar: int) -> RuledClass:
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return RuledClass(self.e, scalar * self.a, scalar * self.b)
-
     def intersect(self, other: RuledClass) -> int:
         """Intersection number, bilinear in both classes."""
         if not isinstance(other, RuledClass):

@@ -18,7 +18,7 @@ from .grading import enumerate_monomials, hilbert_count
 from .poly import monomial_text
 from .wps import WeightedProjectiveSpace
 
-# Most monomials `hilbert --list` prints; the count is checked before listing.
+# Most monomials `hilbert --list` or `wps --basis` prints, checked from the count.
 MAX_LISTED = 10 ** 5
 
 
@@ -34,6 +34,24 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 def _variable_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, count + 1))
+
+
+def _count(weights: tuple[int, ...], degree: int, listing: str | None) -> int:
+    """The Hilbert count, refusing a listing (named by its flag) above MAX_LISTED."""
+    try:
+        count = hilbert_count(weights, degree)
+    except ValueError as error:
+        raise ConfigurationError(str(error))
+    if listing and count > MAX_LISTED:
+        raise ConfigurationError(f"{listing} would print {count} monomials, "
+                                 f"more than the cap of {MAX_LISTED}")
+    return count
+
+
+def _print_monomials(weights: tuple[int, ...], degree: int) -> None:
+    names = _variable_names(len(weights))
+    for exponents in enumerate_monomials(weights, degree):
+        print(f"  {monomial_text(exponents, names) or '1'}")
 
 
 def _print_records(records: list[CheckRecord]) -> None:
@@ -71,36 +89,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    try:
-        count = hilbert_count(weights, args.degree)
-    except ValueError as error:
-        raise ConfigurationError(str(error))
-    if args.list and count > MAX_LISTED:
-        raise ConfigurationError(f"--list would print {count} monomials, "
-                                 f"more than the cap of {MAX_LISTED}")
+    count = _count(weights, args.degree, "--list" if args.list else None)
     print(f"weights {weights}, degree {args.degree}: {count} monomials")
     if args.list:
-        names = _variable_names(len(weights))
-        for exponents in enumerate_monomials(weights, args.degree):
-            print(f"  {monomial_text(exponents, names) or '1'}")
+        _print_monomials(weights, args.degree)
     return 0
 
 
 def cmd_wps(args: argparse.Namespace) -> int:
+    """Anticanonical data; the basis is counted, and enumerated only for --basis."""
     weights = _parse_weights(args.weights)
     try:
         space = WeightedProjectiveSpace(weights)
     except ValueError as error:
         raise ConfigurationError(str(error))
-    basis = space.anticanonical_basis()
+    degree = space.anticanonical_weight()
+    size = _count(weights, degree, "--basis" if args.basis else None)
     print(f"P{space.weights.weights}")
-    print(f"  anticanonical weight:            {space.anticanonical_weight()}")
+    print(f"  anticanonical weight:            {degree}")
     print(f"  anticanonical self-intersection: {space.anticanonical_selfintersection()}")
-    print(f"  anticanonical basis size:        {len(basis)} (projective dimension {len(basis) - 1})")
+    print(f"  anticanonical basis size:        {size} (projective dimension {size - 1})")
     if args.basis:
-        names = _variable_names(len(weights))
-        for exponents in basis:
-            print(f"  {monomial_text(exponents, names) or '1'}")
+        _print_monomials(weights, degree)
     return 0
 
 

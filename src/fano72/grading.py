@@ -5,7 +5,8 @@ A weight system assigns a positive integer degree to each ring variable.
 over exponents, while ``hilbert_count`` counts it with the coin-change
 table, in O(k*d) time and O(d) memory for k weights and degree d; the two
 serve as cross-checking routes to the same number.  Neither keeps a memo,
-so no state outlives a call.  Both refuse degrees above ``MAX_DEGREE``.
+so no state outlives a call.  Both refuse degrees above ``MAX_DEGREE``, and
+the count refuses tables of more than 4 * ``MAX_DEGREE`` additions.
 """
 
 from __future__ import annotations
@@ -78,16 +79,6 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-def weighted_degree(exponents: Sequence[int], weights: Weights) -> int:
-    """Dot product of an exponent tuple with the weights."""
-    weights = _weights_tuple(weights)
-    exponents = tuple(exponents)
-    if len(exponents) != len(weights):
-        raise ArityError(
-            f"monomial arity {len(exponents)} does not match weight arity {len(weights)}")
-    return sum(e * w for e, w in zip(exponents, weights))
-
-
 def is_homogeneous(f: Polynomial, weights: Weights) -> int | _AnyDegree | None:
     """Common weighted degree of all terms of f, ANY_DEGREE for 0, None if mixed."""
     weights = _weights_tuple(weights)
@@ -135,10 +126,14 @@ def hilbert_count(weights: Weights, degree: int) -> int:
     ``ways[x]`` counts the monomials in the first j variables of weighted
     degree x, and folding in w adds ``ways[x - w]`` to ``ways[x]`` in
     increasing x.  That is O(k*d) additions and one list of d + 1 integers,
-    built afresh per call; nothing is memoised.
+    built afresh per call; nothing is memoised.  Refuses k*d above
+    4 * ``MAX_DEGREE``, so four weights at the degree cap still fit.
     """
     _check_degree(degree)
     weights = _weights_tuple(weights)
+    if len(weights) * degree > 4 * MAX_DEGREE:
+        raise ValueError(f"{len(weights)} weights at degree {degree} exceed the "
+                         f"table-work cap of {4 * MAX_DEGREE} (weights times degree)")
     ways = [1] + [0] * degree
     for w in weights:
         for x in range(w, degree + 1):

@@ -79,8 +79,8 @@ class Polynomial:
     ``ring`` is the tuple of variable names; ``terms`` maps exponent tuples
     to nonzero coefficients.  Construction normalizes: coefficients are
     coerced to ``Fraction``, zero terms dropped, and the term order fixed.
-    It is the only place terms are merged: ``+``, ``*`` and ``substitute``
-    hand it their raw, possibly colliding terms.
+    It is the only place terms are merged: ``+``, ``*`` and
+    :func:`substitute_all` hand it their raw, possibly colliding terms.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -259,43 +259,8 @@ class Polynomial:
     # -- substitution and division -------------------------------------
 
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
-        """Replace every variable by its image polynomial, fully expanded.
-
-        All images must share one target ring, which becomes the ring of the
-        result.  Every variable that actually occurs in ``self`` must have an
-        image; unused variables may be omitted from ``images``.
-        """
-        if not images:
-            raise SubstitutionError("substitution needs at least one image to fix the target ring")
-        target = None
-        for name, image in images.items():
-            if not isinstance(image, Polynomial):
-                raise SubstitutionError(f"image of {name!r} is not a Polynomial")
-            if target is None:
-                target = image.ring
-            elif image.ring != target:
-                raise SubstitutionError(
-                    f"images live in different rings: {target} vs {image.ring}")
-        powers: dict[str, list[Polynomial]] = {}
-
-        def image_power(name: str, k: int) -> Polynomial:
-            cache = powers.setdefault(name, [Polynomial.constant(target, 1)])
-            while len(cache) <= k:
-                cache.append(cache[-1] * images[name])
-            return cache[k]
-
-        terms: list[tuple[Exponents, Fraction]] = []
-        for exponents, coefficient in self._terms.items():
-            term = Polynomial.constant(target, coefficient)
-            for i, e in enumerate(exponents):
-                if not e:
-                    continue
-                name = self.ring[i]
-                if name not in images:
-                    raise SubstitutionError(f"no image for variable {name!r} occurring in {self}")
-                term = term * image_power(name, e)
-            terms.extend(term.items())
-        return Polynomial(target, terms)
+        """Replace every variable by its image polynomial; see :func:`substitute_all`."""
+        return substitute_all((self,), images)[0]
 
     def exact_divide(self, divisor: Polynomial) -> Polynomial:
         """Return q with self == q * divisor, or raise ExactDivisionError.
@@ -344,6 +309,48 @@ class Polynomial:
         return "".join(pieces)
 
     __repr__ = __str__
+
+
+def substitute_all(polys: Iterable[Polynomial],
+                   images: Mapping[str, Polynomial]) -> list[Polynomial]:
+    """Replace every variable of each polynomial by its image, fully expanded.
+
+    All images share one target ring, the ring of the results; each variable
+    that occurs needs an image.  Each image power is built once per batch.
+    """
+    if not images:
+        raise SubstitutionError("substitution needs at least one image to fix the target ring")
+    target = None
+    for name, image in images.items():
+        if not isinstance(image, Polynomial):
+            raise SubstitutionError(f"image of {name!r} is not a Polynomial")
+        if target is None:
+            target = image.ring
+        elif image.ring != target:
+            raise SubstitutionError(
+                f"images live in different rings: {target} vs {image.ring}")
+    powers: dict[str, list[Polynomial]] = {}
+
+    def image_power(name: str, k: int) -> Polynomial:
+        cache = powers.setdefault(name, [Polynomial.constant(target, 1)])
+        while len(cache) <= k:
+            cache.append(cache[-1] * images[name])
+        return cache[k]
+
+    results = []
+    for p in polys:
+        terms: list[tuple[Exponents, Fraction]] = []
+        for exponents, coefficient in p._terms.items():
+            term = Polynomial.constant(target, coefficient)
+            for name, e in zip(p.ring, exponents):
+                if not e:
+                    continue
+                if name not in images:
+                    raise SubstitutionError(f"no image for variable {name!r} occurring in {p}")
+                term = term * image_power(name, e)
+            terms.extend(term.items())
+        results.append(Polynomial(target, terms))
+    return results
 
 
 def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .grading import (ANY_DEGREE, WeightSystem, Weights, is_homogeneous,
-                      weighted_degree, _weights_tuple)
+from .grading import ANY_DEGREE, WeightSystem, Weights, is_homogeneous, _weights_tuple
 from .linsys import LinearSystem, P3_VARS, PencilCubic, X1, X2, X3, X4
-from .poly import Exponents, Polynomial
+from .poly import Exponents, Polynomial, substitute_all
 
 TARGET_VARS = ("y1", "y2", "y3", "y4")
 
@@ -28,21 +27,18 @@ class GradingError(ValueError):
 class GradedRationalMap:
     """A rational map from ordinary projective space to a weighted target.
 
-    Component i must be homogeneous of degree multiplier * weight_i, so the
-    map respects the scaling actions and pullback multiplies weighted degree
-    by the multiplier.
+    Component i must be homogeneous of degree weight_i, so the map respects
+    the scaling actions and pullback turns weighted degree into ordinary
+    degree.
     """
 
-    __slots__ = ("source_ring", "target_ring", "target_weights", "components", "multiplier")
+    __slots__ = ("source_ring", "target_ring", "target_weights", "components")
 
     def __init__(self, source_ring: Sequence[str], target_ring: Sequence[str],
-                 target_weights: Weights, components: Sequence[Polynomial],
-                 multiplier: int = 1):
+                 target_weights: Weights, components: Sequence[Polynomial]):
         source_ring = tuple(source_ring)
         target_ring = tuple(target_ring)
         weights = WeightSystem(_weights_tuple(target_weights))
-        if multiplier < 1:
-            raise GradingError("the degree multiplier must be a positive integer")
         if len(target_ring) != len(weights):
             raise GradingError("target ring and target weights disagree in arity")
         if len(components) != len(target_ring):
@@ -54,15 +50,13 @@ class GradedRationalMap:
             if component.is_zero:
                 raise GradingError(f"component for {name} is the zero polynomial")
             degree = is_homogeneous(component, (1,) * len(source_ring))
-            if degree != multiplier * weight:
+            if degree != weight:
                 raise GradingError(
-                    f"component for {name} has degree {degree}, expected "
-                    f"{multiplier} * {weight} = {multiplier * weight}")
+                    f"component for {name} has degree {degree}, expected {weight}")
         object.__setattr__(self, "source_ring", source_ring)
         object.__setattr__(self, "target_ring", target_ring)
         object.__setattr__(self, "target_weights", weights)
         object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "multiplier", multiplier)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedRationalMap is immutable")
@@ -79,7 +73,7 @@ class GradedRationalMap:
         """Substitute the components for the target variables of a weighted form.
 
         Requires g weighted-homogeneous; the result is checked to be
-        ordinary-homogeneous of multiplier * (weighted degree of g).
+        ordinary-homogeneous of the weighted degree of g.
         """
         if g.ring != self.target_ring:
             raise GradingError(f"pullback input must live in the ring {self.target_ring}")
@@ -91,13 +85,9 @@ class GradedRationalMap:
         images = dict(zip(self.target_ring, self.components))
         result = g.substitute(images)
         result_degree = is_homogeneous(result, (1,) * len(self.source_ring))
-        if result_degree is not ANY_DEGREE and result_degree != self.multiplier * degree:
-            raise GradingError(
-                f"pullback of {g} has degree {result_degree}, expected {self.multiplier * degree}")
+        if result_degree is not ANY_DEGREE and result_degree != degree:
+            raise GradingError(f"pullback of {g} has degree {result_degree}, expected {degree}")
         return result
-
-    def pullback_monomial(self, exponents: Exponents) -> Polynomial:
-        return self.pullback(Polynomial.monomial(self.target_ring, exponents))
 
 
 def weighted_parametrization(pencil: PencilCubic) -> GradedRationalMap:
@@ -111,10 +101,12 @@ def weighted_parametrization(pencil: PencilCubic) -> GradedRationalMap:
 
 
 def pullback_system(phi: GradedRationalMap, basis: Sequence[Exponents]) -> LinearSystem:
-    """Pull a one-degree family of target monomials back to a linear system."""
-    degrees = {weighted_degree(e, phi.target_weights) for e in basis}
-    if len(degrees) != 1:
-        raise GradingError(f"basis monomials have mixed weighted degrees: {sorted(degrees)}")
-    degree = degrees.pop()
-    gens = [phi.pullback_monomial(e) for e in basis]
-    return LinearSystem(phi.source_ring, phi.multiplier * degree, gens)
+    """Pull a one-degree family of target monomials back to a linear system,
+    the whole basis in one :func:`substitute_all` call."""
+    degree = is_homogeneous(Polynomial(phi.target_ring, {e: 1 for e in basis}),
+                            phi.target_weights)
+    if degree is None or degree is ANY_DEGREE:
+        raise GradingError("basis monomials must be nonempty and share one weighted degree")
+    monomials = [Polynomial.monomial(phi.target_ring, e) for e in basis]
+    images = dict(zip(phi.target_ring, phi.components))
+    return LinearSystem(phi.source_ring, degree, substitute_all(monomials, images))

@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import asdict
+from math import comb
 
 import pytest
 
@@ -213,7 +214,8 @@ def test_cli_hilbert_list_cap(capsys):
 
 def test_cli_hilbert_rejects_bad_weights(capsys):
     for weights, degree in (("1,zero", "3"), ("1,0", "3"), ("1,1", "-3"),
-                            ("1,1,4,6", str(MAX_DEGREE + 1))):
+                            ("1,1,4,6", str(MAX_DEGREE + 1)),
+                            (",".join(["1"] * 3000), str(MAX_DEGREE))):
         assert main(["hilbert", "--weights", weights, "--degree", degree]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
@@ -230,6 +232,25 @@ def test_cli_wps(capsys):
 
 def test_cli_wps_rejects_ill_formed_weights(capsys):
     assert main(["wps", "--weights", "2,2,4"]) == 2
+
+
+def test_cli_wps_counts_the_basis_and_lists_it_only_under_the_cap(capsys):
+    assert main(["wps", "--weights", "1,1,1,2000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: degree 2000003 exceeds the cap")
+    assert captured.err.count("\n") == 1
+    # degree b + 3 for weights (1, 1, 1, b): x4^0 leaves C(b + 5, 2) monomials, x4^1 C(5, 2)
+    assert main(["wps", "--weights", "1,1,1,100000"]) == 0
+    expected = comb(100005, 2) + comb(5, 2)
+    assert f"basis size:        {expected} (projective dimension {expected - 1})" \
+        in capsys.readouterr().out
+    assert main(["wps", "--weights", "1,1,1,100000", "--basis"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: --basis would print {expected}")
+    assert main(["wps", "--weights", "1,1,1,3", "--basis"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4 + 39
 
 
 def test_cli_scroll_check(capsys):

@@ -1,10 +1,7 @@
-import random
-
 import pytest
 
-from fano72 import (ANY_DEGREE, ArityError, Polynomial, WeightSystem,
-                    enumerate_monomials, generators, hilbert_count,
-                    is_homogeneous, weighted_degree)
+from fano72 import (ANY_DEGREE, Polynomial, WeightSystem, enumerate_monomials,
+                    generators, hilbert_count, is_homogeneous)
 from fano72.grading import MAX_DEGREE
 from fano72.poly import grlex_key
 
@@ -20,28 +17,6 @@ def test_weight_system_validation():
         WeightSystem(())
     with pytest.raises(ValueError):
         WeightSystem((1, 0, 2))
-
-
-def test_weighted_degree_of_top_monomials():
-    assert weighted_degree((0, 0, 0, 2), W1146) == 12
-    assert weighted_degree((0, 0, 0, 0), W1146) == 0
-    assert weighted_degree((0, 0, 1, 1), W1146) == 10
-
-
-def test_weighted_degree_arity_mismatch():
-    with pytest.raises(ArityError):
-        weighted_degree((1, 2), W1146)
-
-
-def test_weighted_degree_is_additive():
-    rng = random.Random(5)
-    for _ in range(300):
-        weights = tuple(rng.randint(1, 9) for _ in range(4))
-        e1 = tuple(rng.randint(0, 6) for _ in range(4))
-        e2 = tuple(rng.randint(0, 6) for _ in range(4))
-        merged = tuple(a + b for a, b in zip(e1, e2))
-        assert weighted_degree(merged, weights) == \
-            weighted_degree(e1, weights) + weighted_degree(e2, weights)
 
 
 def test_sextic_member_is_homogeneous_of_degree_six():
@@ -109,3 +84,10 @@ def test_degree_cap():
             count((1,), MAX_DEGREE + 1)
         with pytest.raises(ValueError, match="natural number"):
             count((1,), -1)
+
+
+def test_table_work_cap():
+    # four weights at the degree cap is the largest table allowed
+    assert hilbert_count(W1146, MAX_DEGREE) == closed_sum_count(4, 6, MAX_DEGREE)
+    with pytest.raises(ValueError, match="table-work cap"):
+        hilbert_count((1,) * 5, 4 * MAX_DEGREE // 5 + 1)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fano72 import (ArityError, ExactDivisionError, ParseError, Polynomial,
-                    SubstitutionError, generators, parse_polynomial)
+                    SubstitutionError, generators, parse_polynomial,
+                    substitute_all)
 from fano72.linsys import P3_VARS, PENCIL_VARS, PencilCubic
 
-from oracles import (arithmetic_oracle_failures, evaluate, rand_poly,
-                     ring_axiom_failures, substitution_failures)
+from oracles import (arithmetic_oracle_failures, canonical_items, evaluate,
+                     naive_substitute, rand_poly, ring_axiom_failures,
+                     substitution_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 
@@ -52,6 +54,22 @@ def test_substitute_into_pencil_ring():
     t, x1, x3, x4 = generators(PENCIL_VARS)
     image = (X1 * X2).substitute({"x1": x1, "x2": t * x1})
     assert image == t * x1 ** 2
+
+
+def test_substitute_all_shares_one_table_against_the_oracle():
+    rng = random.Random(43)
+    ring, target = ("a", "b", "c"), ("u", "v")
+    for _ in range(30):
+        images = [rand_poly(rng, target) for _ in ring]
+        naive_images = [dict(i.items()) for i in images]
+        polys = [rand_poly(rng, ring, max_terms=4, max_exp=3) for _ in range(8)]
+        batch = substitute_all(polys, dict(zip(ring, images)))
+        assert len(batch) == len(polys)
+        for f, pulled in zip(polys, batch):
+            expected = naive_substitute(dict(f.items()), naive_images, len(target))
+            assert pulled.ring == target
+            assert list(pulled.items()) == canonical_items(expected)
+    assert substitute_all((), {"a": Polynomial.variable(target, "u")}) == []
 
 
 def test_substitute_identity_map():

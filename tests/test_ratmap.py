@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fano72 import (GradedRationalMap, GradingError, LinearSystem, Polynomial,
-                    WeightedProjectiveSpace, build_degree12_system,
-                    compare_spans, generators, hilbert_count, is_homogeneous,
-                    pullback_system, weighted_parametrization)
+from fano72 import (ArityError, GradedRationalMap, GradingError, LinearSystem,
+                    Polynomial, WeightedProjectiveSpace, build_degree12_system,
+                    compare_spans, enumerate_monomials, generators,
+                    hilbert_count, is_homogeneous, pullback_system,
+                    weighted_parametrization)
 from fano72.linsys import P3_VARS, PencilCubic
 from fano72.ratmap import TARGET_VARS
 
@@ -21,7 +22,6 @@ ETA = weighted_parametrization(DEFAULT)
 def test_parametrization_component_degrees_and_weights():
     assert ETA.component_degrees() == (1, 1, 4, 6)
     assert ETA.target_weights.weights == (1, 1, 4, 6)
-    assert ETA.multiplier == 1
     assert ETA.components[0] == X1
     assert ETA.components[1] == X2
 
@@ -67,7 +67,6 @@ def test_pullback_of_zero_is_zero():
 
 def test_pullback_preserves_weighted_degree():
     rng = random.Random(22)
-    from fano72 import enumerate_monomials
     for _ in range(100):
         degree = rng.randint(1, 24)
         basis = enumerate_monomials((1, 1, 4, 6), degree)
@@ -83,7 +82,6 @@ def test_pullback_is_multiplicative():
 
 
 def test_pullback_is_injective_on_graded_pieces():
-    from fano72 import enumerate_monomials
     for degree in (12, 24):
         basis = enumerate_monomials((1, 1, 4, 6), degree)
         system = pullback_system(ETA, basis)
@@ -93,7 +91,7 @@ def test_pullback_is_injective_on_graded_pieces():
 
 def test_pullbacks_of_the_anticanonical_basis_are_pairwise_distinct():
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
-    pulled = [ETA.pullback_monomial(e) for e in basis]
+    pulled = [ETA.pullback(Polynomial.monomial(TARGET_VARS, e)) for e in basis]
     assert len({str(p) for p in pulled}) == 39
 
 
@@ -106,8 +104,25 @@ def test_pullback_system_of_the_anticanonical_basis():
 
 
 def test_pullback_system_rejects_mixed_degrees():
-    with pytest.raises(GradingError):
-        pullback_system(ETA, [(12, 0, 0, 0), (1, 0, 0, 0)])
+    for basis in ([(12, 0, 0, 0), (1, 0, 0, 0)], []):
+        with pytest.raises(GradingError):
+            pullback_system(ETA, basis)
+    with pytest.raises(ArityError):
+        pullback_system(ETA, [(1, 2)])
+
+
+def test_pullback_system_equals_the_per_monomial_pullbacks():
+    # the batch shares one image-power table; each pullback here builds its own
+    tall = (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))
+    for roots in ((1, 2, 3), (1, 5, 7), tall):
+        eta = weighted_parametrization(PencilCubic.from_roots(roots))
+        for degree in (12, 24):
+            basis = enumerate_monomials((1, 1, 4, 6), degree)
+            expected = []
+            for e in basis:
+                pulled = eta.pullback(Polynomial.monomial(TARGET_VARS, e))
+                expected.append(pulled / pulled.leading_term()[1])
+            assert pullback_system(eta, basis).generators == tuple(expected)
 
 
 def test_pullback_system_of_a_single_monomial():
