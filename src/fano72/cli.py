@@ -1,12 +1,14 @@
 """Command-line front end: verification suites and small graded-ring utilities.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 configuration error.
+Exit codes: 0 all checks pass, 1 at least one failure or output cut short by
+a closed pipe, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -152,10 +154,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()     # a closed pipe raises here, not at interpreter exit
+        return code
     except ConfigurationError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

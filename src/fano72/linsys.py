@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .grading import ANY_DEGREE, enumerate_monomials, is_homogeneous
@@ -36,50 +36,40 @@ class InvalidPencilError(ValueError):
     """The supplied binary cubic does not define three admissible pencil planes."""
 
 
-# -- rational root extraction for the pencil cubic ----------------------
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({d for s in small for d in (s, n // s)})
-
-
-def _find_rational_root(coeffs: Sequence[Fraction]) -> Fraction | None:
-    scale = reduce(lcm, (c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = reduce(gcd, ints)
-    ints = [v // content for v in ints]
-    if ints[0] == 0:
-        return Fraction(0)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for candidate in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * candidate ** k for k, c in enumerate(ints)) == 0:
-                    return candidate
-    return None
-
-
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    degree = len(coeffs) - 1
-    quotient = [Fraction(0)] * degree
-    b = coeffs[-1]
-    for k in range(degree - 1, -1, -1):
-        quotient[k] = b
-        b = coeffs[k] + root * b
-    return quotient
-
+# -- rational roots of the pencil cubic ----------------------------------
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots with multiplicity, found by root theorem plus deflation."""
-    roots: list[Fraction] = []
-    current = [Fraction(c) for c in coeffs]
-    while len(current) > 1:
-        root = _find_rational_root(current)
-        if root is None:
-            break
-        roots.append(root)
-        current = _deflate(current, root)
-    return roots
+    """The roots of c0 + c1*t + c2*t^2 + c3*t^3 (c3 != 0), ascending; [] unless all rational.
+
+    Cleared to integers a0..a3, u = a3*t makes a3^2 * xi(1, t) the monic
+    g(u) = u^3 + a2*u^2 + a1*a3*u + a0*a3^2, whose rational roots are integers.
+    Once g, g' and g'' are all positive they stay so, and when g splits over
+    the integers the first integer where they are is one past its largest
+    root, bisected for inside Cauchy's bound.  -g(-u) gives the smallest root
+    and the sum of the roots the middle one; the three are kept only if their
+    product is g, which a complex pair beside one real root would fail.
+    """
+    scale = reduce(lcm, (c.denominator for c in coeffs))
+    a0, a1, a2, a3 = (int(c * scale) for c in coeffs)
+    b2, b1, b0 = a2, a1 * a3, a0 * a3 * a3
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+
+    def largest(b2: int, b1: int, b0: int) -> int:
+        low, high = -bound, bound      # the test fails at -bound and holds at bound
+        while high - low > 1:
+            u = (low + high) // 2
+            g, dg, ddg = ((u + b2) * u + b1) * u + b0, (3 * u + 2 * b2) * u + b1, 3 * u + b2
+            if g > 0 and dg > 0 and ddg > 0:
+                high = u
+            else:
+                low = u
+        return low
+
+    high, low = largest(b2, b1, b0), -largest(-b2, b1, -b0)
+    middle = -b2 - low - high
+    if (low * middle + low * high + middle * high, low * middle * high) != (b1, -b0):
+        return []
+    return sorted(Fraction(u, a3) for u in (low, middle, high))
 
 
 class PencilCubic:
@@ -277,9 +267,10 @@ def multiplicity_along_line(f: Polynomial) -> int:
     Equals the largest m with f in the m-th power of the ideal (x1, x2),
     i.e. the minimum of (x1-degree + x2-degree) over the terms of f.
     """
-    if f.is_zero:
+    items = _p3_items(f)
+    if not items:
         raise ValueError("multiplicity along the line is undefined for the zero polynomial")
-    return f.min_degree_in(("x1", "x2"))
+    return min(a + b for (a, b, _, _), _ in items)
 
 
 def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Fraction], ...]:

@@ -162,17 +162,6 @@ class Polynomial:
             return 0
         return max(sum(e[i] for i in idx) for e in self._terms)
 
-    def min_degree_in(self, names: Sequence[str]) -> int:
-        """Minimal combined degree of the given variables over all terms.
-
-        Undefined (raises ValueError) for the zero polynomial, which lies in
-        every power of the ideal spanned by the variables.
-        """
-        if not self._terms:
-            raise ValueError("min_degree_in is undefined for the zero polynomial")
-        idx = [self._index(n) for n in names]
-        return min(sum(e[i] for i in idx) for e in self._terms)
-
     def _index(self, name: str) -> int:
         try:
             return self.ring.index(name)

@@ -10,7 +10,7 @@ the integer 72 for both P(1,1,4,6) and P(1,1,1,3).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from itertools import accumulate
 from math import gcd, prod
 
 from .grading import WeightSystem, Weights, enumerate_monomials, _weights_tuple
@@ -26,12 +26,14 @@ class WeightedProjectiveSpace:
         ws = WeightSystem(_weights_tuple(weights))
         if len(ws) < 2:
             raise ValueError("a projective space needs at least two weights")
+        # gcd of the weights before index i, and of those from index i on
+        before = list(accumulate(ws, gcd, initial=0))
+        after = list(accumulate(reversed(ws.weights), gcd, initial=0))[::-1]
         for omit in range(len(ws)):
-            others = [w for i, w in enumerate(ws) if i != omit]
-            if reduce(gcd, others) != 1:
-                raise ValueError(
-                    f"weights {ws.weights} are not well-formed: "
-                    f"omitting entry {omit} leaves gcd {reduce(gcd, others)}")
+            g = gcd(before[omit], after[omit + 1])
+            if g != 1:
+                raise ValueError(f"weights {ws.weights} are not well-formed: "
+                                 f"omitting entry {omit} leaves gcd {g}")
         object.__setattr__(self, "weights", ws)
 
     def __setattr__(self, name, value):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import fano72
 from fano72 import (ConfigurationError, LinearSystem, VerifyConfig,
                     build_degree12_system, checks, cli, generators, linsys,
                     run_all)
@@ -232,6 +237,31 @@ def test_cli_wps(capsys):
 
 def test_cli_wps_rejects_ill_formed_weights(capsys):
     assert main(["wps", "--weights", "2,2,4"]) == 2
+    assert main(["wps", "--weights", "2,2,2,3"]) == 2
+    assert capsys.readouterr().err.endswith("omitting entry 3 leaves gcd 2\n")
+
+
+def test_cli_wps_checks_many_weights_in_linear_time(capsys):
+    # one gcd over all weights but one, per omitted weight, took 1.9 s for 6000
+    started = time.perf_counter()
+    assert main(["wps", "--weights", ",".join(["1"] * 20000)]) == 2
+    assert time.perf_counter() - started < 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: 20000 weights at degree 20000 exceed")
+    assert err.count("\n") == 1
+
+
+def test_cli_closed_pipe_exits_without_a_traceback():
+    src = str(Path(fano72.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "fano72", "hilbert", "--weights", "1,1,1,3",
+               "--degree", "100", "--list"]      # 60690 lines, far more than a pipe buffers
+    process = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               env={**os.environ, "PYTHONPATH": src})
+    assert process.stdout.readline() == b"weights (1, 1, 1, 3), degree 100: 60690 monomials\n"
+    process.stdout.close()
+    assert process.wait(timeout=30) == 1
+    assert process.stderr.read() == b""
+    process.stderr.close()
 
 
 def test_cli_wps_counts_the_basis_and_lists_it_only_under_the_cap(capsys):

@@ -1,14 +1,16 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from fano72 import (ArityError, ExactDivisionError, InvalidPencilError,
+from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidPencilError,
                     LinearSystem, Polynomial, build_degree12_system, build_sextic_system,
                     compare_spans, coordinate_plane_residual,
                     enumerate_monomials, factor_out, generators, is_homogeneous, is_scalar_multiple,
                     multiplicity_along_line, random_member, restrict_to_pencil,
-                    restrict_to_pencil_plane, solve_sextic_constraints)
+                    restrict_to_pencil_plane, solve_sextic_constraints, VerifyConfig)
 from fano72 import linsys
 from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic,
@@ -48,9 +50,11 @@ def test_fractional_roots_are_recovered():
 
 
 def test_repeated_root_is_rejected():
-    doubled = (X2 - X1) ** 2 * (X2 - 2 * X1)
-    with pytest.raises(InvalidPencilError):
-        PencilCubic.from_polynomial(doubled)
+    for roots in ((0, 0, 1), (1, 1, 2), (1, 1, 1), (1, -1, -1)):
+        product = (X2 - roots[0] * X1) * (X2 - roots[1] * X1) * (X2 - roots[2] * X1)
+        listed = ", ".join(map(str, sorted(roots)))
+        with pytest.raises(InvalidPencilError, match=f"pairwise distinct, got {listed}$"):
+            PencilCubic.from_polynomial(product)
     with pytest.raises(InvalidPencilError):
         PencilCubic.from_roots((1, 1, 2))
 
@@ -64,8 +68,73 @@ def test_zero_root_is_rejected():
 
 
 def test_irrational_split_is_rejected():
-    with pytest.raises(InvalidPencilError):
-        PencilCubic.from_polynomial(X2 ** 3 - 2 * X1 ** 3)
+    for cubic in (X2 ** 3 - 2 * X1 ** 3,
+                  X2 ** 3 - X1 ** 3,                         # one rational root
+                  X2 ** 3 - 3 * X1 ** 2 * X2 + X1 ** 3,      # three irrational real roots
+                  X2 ** 3 + X1 ** 3,
+                  # root 1 beside the complex pair 1 +- i: each candidate of the
+                  # search is a root, but their product is not the cubic
+                  (X2 - X1) * ((X2 - X1) ** 2 + X1 ** 2)):
+        with pytest.raises(InvalidPencilError,
+                           match=f"^the cubic {re.escape(str(cubic))} does not split into rational planes$"):
+            PencilCubic.from_polynomial(cubic)
+
+
+def test_tall_roots_are_recovered():
+    rng = random.Random(71)
+    for _ in range(100):
+        height = 10 ** rng.randint(1, 30)
+        roots = set()
+        while len(roots) < 3:
+            root = Fraction(rng.randint(-height, height), rng.randint(1, height))
+            if root:
+                roots.add(root)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height))
+        pencil = PencilCubic.from_polynomial(PencilCubic.from_roots(roots, scale).cubic)
+        assert pencil.roots == tuple(sorted(roots))
+        assert pencil.scale == scale
+
+
+def test_verify_resolves_a_tall_prime_root_in_bounded_time(capsys):
+    # trial division up to the square root of 10^16 + 61 ran past 20 s
+    cubic = PencilCubic.from_roots((10 ** 16 + 61, 2, -5)).cubic
+    started = time.perf_counter()
+    assert main(["verify", "--xi", str(cubic)]) == 0
+    assert time.perf_counter() - started < 2
+    assert "45 checks: 45 passed" in capsys.readouterr().out
+
+
+def test_fuzzed_cubics_resolve_to_themselves_or_are_refused():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.integers(-10 ** 40, 10 ** 40)
+    plane = st.tuples(st.integers(-10 ** 13, 10 ** 13), st.integers(-10 ** 13, 10 ** 13))
+
+    def product(scale, planes):
+        cubic = Polynomial.constant(P3_VARS, scale)
+        for a, b in planes:
+            cubic = cubic * (b * X2 - a * X1)
+        return cubic
+
+    cubics = st.one_of(
+        st.lists(coefficient, min_size=4, max_size=4).map(
+            lambda c: sum((k * X1 ** (3 - i) * X2 ** i for i, k in enumerate(c)),
+                          Polynomial.zero(P3_VARS))),
+        st.builds(product, st.integers(-10 ** 9, 10 ** 9), st.lists(plane, min_size=3, max_size=3)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(cubics)
+    def check(cubic):
+        started = time.perf_counter()
+        try:
+            pencil = VerifyConfig(xi_text=str(cubic)).pencil
+        except ConfigurationError:
+            pass
+        else:
+            assert pencil.cubic == cubic
+        assert time.perf_counter() - started < 1
+
+    check()
 
 
 def test_x1_component_is_rejected():
@@ -220,6 +289,8 @@ def test_restrictions_reject_other_rings():
             restrict_to_pencil_plane(f, 2)
         with pytest.raises(ArityError):
             coordinate_plane_residual(f, "x1")
+        with pytest.raises(ArityError):
+            multiplicity_along_line(f)
 
 
 # -- the sextic system --------------------------------------------------------
