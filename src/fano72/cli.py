@@ -25,13 +25,15 @@ MAX_LISTED = 10 ** 5
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    try:
-        weights = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"weights must be a comma-separated integer list, got {text!r}")
-    if not weights:
-        raise ConfigurationError("weights must be nonempty")
-    return weights
+    parts = text.split(",")
+    weights = []
+    for index, part in enumerate(parts):
+        try:
+            weights.append(int(part))
+        except ValueError:
+            raise ConfigurationError(f"weights must be a comma-separated integer list, "
+                                     f"got {part[:20]!r} at entry {index} of {len(parts)}")
+    return tuple(weights)
 
 
 def _variable_names(count: int) -> tuple[str, ...]:

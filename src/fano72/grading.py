@@ -27,8 +27,10 @@ class WeightSystem:
         weights = tuple(weights)
         if not weights:
             raise ValueError("a weight system must be nonempty")
-        if any(not isinstance(w, int) or w < 1 for w in weights):
-            raise ValueError(f"weights must be integers >= 1, got {weights}")
+        for index, w in enumerate(weights):
+            if not isinstance(w, int) or w < 1:
+                raise ValueError(f"weights must be integers >= 1, got {w!r} "
+                                 f"at entry {index} of {len(weights)}")
         object.__setattr__(self, "weights", weights)
 
     def __iter__(self) -> Iterator[int]:

@@ -36,12 +36,18 @@ class InvalidPencilError(ValueError):
     """The supplied binary cubic does not define three admissible pencil planes."""
 
 
+# Largest bit length of the pencil cubic's integer coefficients and their common
+# denominator: at the cap a root search takes about 0.4 s on a 2-core x86 host
+# (CPython 3.11), and its cost grows faster than the square of the bit length.
+MAX_COEFFICIENT_BITS = 1024
+
+
 # -- rational roots of the pencil cubic ----------------------------------
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """The roots of c0 + c1*t + c2*t^2 + c3*t^3 (c3 != 0), ascending; [] unless all rational.
+def _rational_roots(coeffs: Sequence[int]) -> list[Fraction]:
+    """The roots of a0 + a1*t + a2*t^2 + a3*t^3 (a3 != 0), ascending; [] unless all rational.
 
-    Cleared to integers a0..a3, u = a3*t makes a3^2 * xi(1, t) the monic
+    For integers a0..a3, u = a3*t makes a3^2 * xi(1, t) the monic
     g(u) = u^3 + a2*u^2 + a1*a3*u + a0*a3^2, whose rational roots are integers.
     Once g, g' and g'' are all positive they stay so, and when g splits over
     the integers the first integer where they are is one past its largest
@@ -49,8 +55,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     and the sum of the roots the middle one; the three are kept only if their
     product is g, which a complex pair beside one real root would fail.
     """
-    scale = reduce(lcm, (c.denominator for c in coeffs))
-    a0, a1, a2, a3 = (int(c * scale) for c in coeffs)
+    a0, a1, a2, a3 = coeffs
     b2, b1, b0 = a2, a1 * a3, a0 * a3 * a3
     bound = 1 + max(abs(b2), abs(b1), abs(b0))
 
@@ -126,13 +131,21 @@ class PencilCubic:
         if f.uses_variable("x3") or f.uses_variable("x4"):
             raise InvalidPencilError("the pencil cubic may involve only x1 and x2")
         if is_homogeneous(f, (1, 1, 1, 1)) != 3:
-            raise InvalidPencilError(f"the pencil cubic must be homogeneous of degree 3, got {f}")
+            # no text of f here: its coefficients are not yet within MAX_COEFFICIENT_BITS
+            raise InvalidPencilError("the pencil cubic must be homogeneous of degree 3")
         scale = f.coefficient((0, 3, 0, 0))
         if scale == 0:
             raise InvalidPencilError(
                 "the coefficient of x2^3 vanishes, so the plane x1 = 0 would be a component")
         # roots of f(1, t) as a cubic in t; coefficient of t^k multiplies x1^(3-k) x2^k
         coeffs = [f.coefficient((3 - k, k, 0, 0)) for k in range(4)]
+        denominator = reduce(lcm, (c.denominator for c in coeffs))
+        coeffs = [int(c * denominator) for c in coeffs]
+        bits = max(denominator, *map(abs, coeffs)).bit_length()
+        if bits > MAX_COEFFICIENT_BITS:
+            raise InvalidPencilError(
+                f"the cubic's coefficients, over their common denominator, need {bits} bits, "
+                f"more than the cap of {MAX_COEFFICIENT_BITS}")
         roots = _rational_roots(coeffs)
         if len(roots) != 3:
             raise InvalidPencilError(f"the cubic {f} does not split into rational planes")

@@ -10,15 +10,23 @@ arithmetic is exact, so polynomial identities can be tested with ``==``.
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
 
-    poly   ::= term (('+'|'-') term)*
-    term   ::= coeff ('*' factor)* | factor ('*' factor)*
-    coeff  ::= integer | integer '/' positive-integer
-    factor ::= varname ('^' natural)?
+    poly    ::= sign? term (sign term)*
+    sign    ::= '+' | '-'
+    term    ::= coeff ('*' factor)* | factor ('*' factor)*
+    coeff   ::= integer ('/' integer)?
+    factor  ::= varname ('^' integer)?
+    integer ::= digit+
+    varname ::= [A-Za-z_] [A-Za-z_0-9]*
+
+Whitespace may surround any token.  A digit is any Unicode decimal digit, as
+``int()`` reads it; denominators are nonzero, and no literal is longer than
+``int()``'s digit limit.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -367,107 +375,47 @@ def generators(ring: Sequence[str]) -> tuple[Polynomial, ...]:
     return tuple(Polynomial.variable(ring, name) for name in ring)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<symbol>[-+*/^]))")
+# The grammar above as one pattern, kept a string so that re compiles it on the
+# first parse, not at import.  A sign is ``(?:[-+]\s*)?``: ``[-+]?\s*`` after
+# ``\s*`` would backtrack quadratically on a long run of whitespace.
+_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+_TERM = rf"(?:\d+(?:\s*/\s*\d+)?|{_FACTOR})(?:\s*\*\s*{_FACTOR})*"
+_POLYNOMIAL = rf"\s*(?:[-+]\s*)?{_TERM}(?:\s*[-+]\s*{_TERM})*\s*"
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN.match(text, position)
-        if match is None:
-            remainder = text[position:].strip()
-            if not remainder:
-                break
-            raise ParseError(f"unexpected character {remainder[0]!r} in polynomial text")
-        position = match.end()
-        for kind in ("number", "name", "symbol"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], ring: tuple[str, ...]):
-        self.tokens = tokens
-        self.ring = ring
-        self.position = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
-
-    def take(self) -> tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of polynomial text")
-        self.position += 1
-        return token
-
-    def parse(self) -> Polynomial:
-        terms: list[tuple[Exponents, Fraction]] = []
-        sign = Fraction(1)
-        token = self.peek()
-        if token == ("symbol", "-"):
-            self.take()
-            sign = Fraction(-1)
-        elif token == ("symbol", "+"):
-            self.take()
-        terms.append(self.term(sign))
-        while self.peek() is not None:
-            kind, value = self.take()
-            if (kind, value) == ("symbol", "+"):
-                terms.append(self.term(Fraction(1)))
-            elif (kind, value) == ("symbol", "-"):
-                terms.append(self.term(Fraction(-1)))
-            else:
-                raise ParseError(f"expected '+' or '-' between terms, got {value!r}")
-        return Polynomial(self.ring, terms)
-
-    def term(self, sign: Fraction) -> tuple[Exponents, Fraction]:
-        kind, value = self.take()
-        exponents = [0] * len(self.ring)
-        if kind == "number":
-            coefficient = Fraction(int(value))
-            if self.peek() == ("symbol", "/"):
-                self.take()
-                dkind, dvalue = self.take()
-                if dkind != "number" or int(dvalue) == 0:
-                    raise ParseError("expected a positive integer denominator after '/'")
-                coefficient /= int(dvalue)
-        elif kind == "name":
-            coefficient = Fraction(1)
-            self.factor(value, exponents)
-        else:
-            raise ParseError(f"a term cannot start with {value!r}")
-        while self.peek() == ("symbol", "*"):
-            self.take()
-            fkind, fvalue = self.take()
-            if fkind != "name":
-                raise ParseError(f"expected a variable after '*', got {fvalue!r}")
-            self.factor(fvalue, exponents)
-        return tuple(exponents), sign * coefficient
-
-    def factor(self, name: str, exponents: list[int]) -> None:
-        if name not in self.ring:
-            raise ParseError(f"variable {name!r} is not declared in the ring {self.ring}")
-        power = 1
-        if self.peek() == ("symbol", "^"):
-            self.take()
-            kind, value = self.take()
-            if kind != "number":
-                raise ParseError(f"expected a natural exponent after '^', got {value!r}")
-            power = int(value)
-        exponents[self.ring.index(name)] += power
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the only literals int() refuses are over-long ones
+        raise ParseError(f"integer literal {digits.strip()[:20]!r} is longer than "
+                         f"int()'s limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the given ring; inverse of ``str()``."""
     ring = tuple(ring)
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    return _Parser(tokens, ring).parse()
+    match = re.match(_POLYNOMIAL, text)    # greedy: the longest prefix the grammar accepts
+    stop = match.end() if match else 0
+    if match is None or stop < len(text):
+        raise ParseError(f"polynomial text does not match the grammar at column {stop + 1}: "
+                         f"{text[stop:stop + 20]!r}")
+    terms: list[tuple[Exponents, Fraction]] = []
+    for sign, body in re.findall(r"\s*([-+]?)([^-+]+)", text):
+        coefficient = Fraction(-1 if sign == "-" else 1)
+        exponents = [0] * len(ring)
+        for piece in body.split("*"):
+            piece = piece.strip()
+            if piece[0].isdigit():
+                numerator, _, denominator = piece.partition("/")
+                denominator = _integer(denominator or "1")
+                if not denominator:
+                    raise ParseError("expected a positive integer denominator after '/'")
+                coefficient *= Fraction(_integer(numerator), denominator)
+            else:
+                name, _, power = piece.partition("^")
+                name = name.rstrip()
+                if name not in ring:
+                    raise ParseError(f"variable {name[:20]!r} is not declared in the ring {ring}")
+                exponents[ring.index(name)] += _integer(power) if power else 1
+        terms.append((tuple(exponents), coefficient))
+    return Polynomial(ring, terms)

@@ -32,8 +32,8 @@ class WeightedProjectiveSpace:
         for omit in range(len(ws)):
             g = gcd(before[omit], after[omit + 1])
             if g != 1:
-                raise ValueError(f"weights {ws.weights} are not well-formed: "
-                                 f"omitting entry {omit} leaves gcd {g}")
+                raise ValueError(f"weight {ws[omit]} at entry {omit} of {len(ws)} breaks "
+                                 f"well-formedness: omitting entry {omit} leaves gcd {g}")
         object.__setattr__(self, "weights", ws)
 
     def __setattr__(self, name, value):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fano72
-from fano72 import (ConfigurationError, LinearSystem, VerifyConfig,
+from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
                     build_degree12_system, checks, cli, generators, linsys,
                     run_all)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
@@ -249,6 +249,68 @@ def test_cli_wps_checks_many_weights_in_linear_time(capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: 20000 weights at degree 20000 exceed")
     assert err.count("\n") == 1
+
+
+OVER_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--xi", OVER_LONG + "*x2^3"],
+    ["verify", "--xi", "x2^3 - x1^" + OVER_LONG],
+    ["verify", "theorem", "--xi", "7" * 4000 + "*x2^3 - x1^3"],
+    ["verify", "--xi", "9" * 4300 + "*x2^3 + x2^3 + x1"],
+    ["wps", "--weights", ",".join(["2"] * 20000)],
+    ["hilbert", "--weights", ",".join(["1"] * 20000) + ",0", "--degree", "3"],
+    ["hilbert", "--weights", ",".join(["1"] * 20000) + ",a", "--degree", "3"],
+    ["hilbert", "--weights", OVER_LONG, "--degree", "3"],
+], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
+        "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
+        "hilbert-non-integer-weight", "hilbert-weight-over-int-limit"])
+def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    plane = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+    def product(scale, planes):
+        cubic = Polynomial.constant(P3_VARS, scale)
+        for a, b in planes:
+            cubic = cubic * (b * X2 - a * X1)
+        return str(cubic)
+
+    cubic = st.one_of(
+        st.builds(product, st.integers(-9, 9), st.lists(plane, min_size=3, max_size=3)),
+        st.text("x12^*/+- 0379", max_size=30))
+    weights = st.one_of(st.lists(st.integers(-2, 40), min_size=1, max_size=6).map(
+                            lambda ws: ",".join(map(str, ws))),
+                        st.text("0123,a -", max_size=20))
+    argv = st.one_of(st.builds(lambda xi: ["verify", "wps", f"--xi={xi}"], cubic),
+                     st.builds(lambda ws, d: ["hilbert", f"--weights={ws}", f"--degree={d}"],
+                               weights, st.integers(-5, 10 ** 4)),
+                     st.builds(lambda ws: ["wps", f"--weights={ws}"], weights))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(argv)
+    def check(argv):
+        started = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - started < 2
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("configuration error: ")
+            assert err.count("\n") == 1
+
+    check()
 
 
 def test_cli_closed_pipe_exits_without_a_traceback():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,84 @@ def test_parse_rejects_bad_input():
     for text in ("", "x5", "2*3", "x1 +", "1/0", "x1^", "x1 & x2"):
         with pytest.raises(ParseError):
             parse_polynomial(text, P3_VARS)
+
+
+def test_parse_errors_name_the_column_and_stay_short():
+    grammar = "polynomial text does not match the grammar at column "
+    for text, message in (
+            ("x1 + x2 & " + "x3 + " * 10 ** 4 + "x4", grammar + "9: '& x3 + x3 + x3 + x3 '"),
+            ("2*3", grammar + "2: '*3'"),
+            ("x1 +", grammar + "4: '+'"),
+            ("", grammar + "1: ''"),
+            ("  *x1", grammar + "1: '  *x1'"),
+            ("x1 + " + "y" * 10 ** 4, "variable 'yyyyyyyyyyyyyyyyyyyy' is not declared "
+                                      "in the ring ('x1', 'x2', 'x3', 'x4')"),
+            ("x2 - 1/00", "expected a positive integer denominator after '/'")):
+        with pytest.raises(ParseError) as error:
+            parse_polynomial(text, P3_VARS)
+        assert str(error.value) == message
+
+
+def test_parse_refuses_long_adversarial_text_in_bounded_time():
+    over = "1" * 5000
+    for text in (over + "*x2^3", "x2^3 - x1^" + over, "1/" + over,
+                 " " * 10 ** 5 + "!", "*".join(["x1"] * 2 * 10 ** 4) + "!",
+                 "x1" + "\t" * 10 ** 5 + "+", "x" * 10 ** 5 + "^" + "9" * 10 ** 5 + "!"):
+        started = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_polynomial(text, P3_VARS)
+        assert time.perf_counter() - started < 0.5
+
+
+def test_fuzzed_texts_parse_to_their_terms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    factor = st.tuples(st.sampled_from(P3_VARS), st.none() | st.integers(0, 12))
+    term = st.tuples(st.sampled_from(("+", "-")), st.none() | st.integers(0, 10 ** 30),
+                     st.none() | st.integers(1, 10 ** 6), st.lists(factor, max_size=3))
+
+    def render(terms, rng):
+        """Grammar text for the terms, spaced by rng, with the Polynomial they make."""
+        space = lambda: rng.choice(("", " ", "  ", "\t"))
+        pieces, expected = [space()], []
+        for position, (sign, numerator, denominator, factors) in enumerate(terms):
+            if numerator is None and not factors:
+                factors = [("x1", None)]
+            tokens = [] if numerator is None else [str(numerator)] + (
+                [] if denominator is None else ["/", str(denominator)])
+            exponents = [0] * len(P3_VARS)
+            for name, power in factors:
+                tokens += ["*"] if tokens else []
+                tokens += [name] if power is None else [name, "^", str(power)]
+                exponents[P3_VARS.index(name)] += 1 if power is None else power
+            coefficient = Fraction(1 if numerator is None else numerator,
+                                   1 if numerator is None or denominator is None else denominator)
+            if position or rng.random() < 0.5:
+                pieces += [sign, space()]
+            else:
+                sign = "+"
+            pieces += [t + space() for t in tokens]
+            expected.append((tuple(exponents), -coefficient if sign == "-" else coefficient))
+        return "".join(pieces), Polynomial(P3_VARS, expected)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.lists(term, min_size=1, max_size=4), st.randoms(use_true_random=False),
+                      st.integers(0, 10 ** 6), st.sampled_from("x1^*/+- 0\t&"),
+                      st.sampled_from(("insert", "delete", "replace")))
+    def check(terms, rng, where, character, edit):
+        text, expected = render(terms, rng)
+        assert parse_polynomial(text, P3_VARS) == expected
+        where %= len(text) + 1
+        cut = where + (edit != "insert")
+        mutated = text[:where] + ("" if edit == "delete" else character) + text[cut:]
+        started = time.perf_counter()
+        try:
+            assert isinstance(parse_polynomial(mutated, P3_VARS), Polynomial)
+        except ParseError:
+            pass
+        assert time.perf_counter() - started < 0.5
+
+    check()
 
 
 def test_round_trip_randomized():
