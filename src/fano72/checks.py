@@ -336,7 +336,7 @@ def run_all(config: VerifyConfig) -> list[CheckRecord]:
     suite = config.suite or "all"
     if suite not in ("all",) + SUITES + EXTRA_SUITES:
         raise ConfigurationError(
-            f"unknown suite {suite!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")
+            f"unknown suite {suite[:20]!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")
     rng = random.Random(config.seed)
     records: list[CheckRecord] = []
     if suite in ("all", "wps"):

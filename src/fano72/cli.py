@@ -118,8 +118,15 @@ def cmd_wps(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One configuration-error line: words cut to 20 characters, the line to 160."""
+        text = " ".join(w if len(w) <= 20 else w[:20] + "..." for w in message.split())
+        raise ConfigurationError(text if len(text) <= 160 else text[:160] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fano72",
         description="Exact certification that the degree-72 scroll-cone threefold "
                     "is anticanonically embedded P(1,1,4,6).")
@@ -153,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()     # a closed pipe raises here, not at interpreter exit
         return code

@@ -3,11 +3,11 @@
 Rows are sparse mappings {column: value}, or dense sequences whose columns
 are their positions.  Columns are any mutually comparable hashable keys,
 since the smallest column of a row is its pivot: integer positions, or the
-exponent tuples of one ring, as ``LinearSystem`` uses them.  Incoming
-rational rows are scaled to primitive integer rows (common denominator
-cleared, content divided out, leading entry positive), and elimination
-uses integer cross-multiplication only, so no rounding or pivot-size
-tolerance exists anywhere.
+exponent tuples of one ring, as ``LinearSystem`` uses them.  Incoming ``int``
+or ``Fraction`` rows are scaled to primitive integer rows (denominators
+cleared, content divided out, entry at the smallest column positive) with no
+``Fraction`` arithmetic, and elimination uses integer cross-multiplication
+only, so no rounding or pivot-size tolerance exists anywhere.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ def _primitive(row: IntRow) -> IntRow:
 
 
 def _to_int_row(row: Mapping[Hashable, Fraction | int] | Sequence[Fraction | int]) -> IntRow:
+    """The primitive integer multiple of a rational row: the one normaliser of rows."""
     if not isinstance(row, Mapping):
-        row = {i: v for i, v in enumerate(row)}
-    entries = {c: Fraction(v) for c, v in row.items() if v}
-    if not entries:
-        return {}
-    scale = reduce(lcm, (v.denominator for v in entries.values()))
-    return _primitive({c: int(v * scale) for c, v in entries.items()})
+        row = dict(enumerate(row))
+    entries = {c: v for c, v in row.items() if v}
+    scale = reduce(lcm, (v.denominator for v in entries.values()), 1)
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in entries.items()})
 
 
 class RowSpace:

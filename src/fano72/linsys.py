@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .grading import ANY_DEGREE, enumerate_monomials, is_homogeneous
-from .linalg import RowSpace, nullspace_basis
+from .linalg import RowSpace, _to_int_row, nullspace_basis
 from .poly import (ArityError, ExactDivisionError, Exponents, Polynomial,
                    generators, parse_polynomial)
 
@@ -40,6 +40,11 @@ class InvalidPencilError(ValueError):
 # denominator: at the cap a root search takes about 0.4 s on a 2-core x86 host
 # (CPython 3.11), and its cost grows faster than the square of the bit length.
 MAX_COEFFICIENT_BITS = 1024
+
+
+def _shown(f: Polynomial) -> str:
+    """The text of f cut to 60 characters: within the cap a cubic's runs to 1.2 kB."""
+    return str(f) if len(str(f)) <= 60 else str(f)[:60] + "..."
 
 
 # -- rational roots of the pencil cubic ----------------------------------
@@ -148,10 +153,10 @@ class PencilCubic:
                 f"more than the cap of {MAX_COEFFICIENT_BITS}")
         roots = _rational_roots(coeffs)
         if len(roots) != 3:
-            raise InvalidPencilError(f"the cubic {f} does not split into rational planes")
+            raise InvalidPencilError(f"the cubic {_shown(f)} does not split into rational planes")
         pencil = cls.from_roots(roots, scale)
         if pencil.cubic != f:
-            raise InvalidPencilError(f"the cubic {f} is not the product of its root planes")
+            raise InvalidPencilError(f"the cubic {_shown(f)} is not the product of its root planes")
         return pencil
 
     @classmethod
@@ -168,9 +173,10 @@ class PencilCubic:
 class LinearSystem:
     """A span of homogeneous degree-d forms in a fixed ring.
 
-    Generators are rescaled to leading coefficient 1, deduplicated, and
-    zero inputs dropped; the span is unchanged by any of this.  Rank data
-    is computed lazily over coefficient vectors keyed by exponent tuple.
+    Generators are rescaled to primitive integer form (``linalg``'s row
+    normaliser: content 1, last term positive), deduplicated, and zero inputs
+    dropped; the span is unchanged by any of this.  Rank data is computed
+    lazily over coefficient vectors keyed by exponent tuple.
     """
 
     __slots__ = ("ring", "degree", "generators", "_row_space")
@@ -189,10 +195,10 @@ class LinearSystem:
                 continue
             if is_homogeneous(g, unit) != degree:
                 raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
-            monic = g / g.leading_term()[1]
-            if monic not in seen:
-                seen.add(monic)
-                normalized.append(monic)
+            primitive = Polynomial(ring, _to_int_row(dict(g.items())))
+            if primitive not in seen:
+                seen.add(primitive)
+                normalized.append(primitive)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(normalized))
@@ -380,7 +386,7 @@ def build_degree12_system(pencil: PencilCubic) -> LinearSystem:
     every degree-12 monomial in (x1, x2).
 
     Each shape is the pullback of one anticanonical monomial of P(1,1,4,6)
-    along (x1, x2, x3*xi, x1*x2*x4*xi), so after monic normalisation the 39
+    along (x1, x2, x3*xi, x1*x2*x4*xi), so in primitive integer form the 39
     generators are the same set as the 39 pulled-back monomials (checked for
     the roots (1,2,3), (1,5,7), (-3,1/2,11) and (-9973/7,13/9999,5000/3)).
     """

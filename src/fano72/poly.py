@@ -1,11 +1,11 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero ``fractions.Fraction``
-coefficients, tagged with the tuple of variable names it lives over (its
-ring).  Values are immutable and always kept in canonical form: zero
-coefficients are dropped and terms are ordered graded-lexicographically
-with respect to the declared variable order, leading term first.  All
-arithmetic is exact, so polynomial identities can be tested with ``==``.
+A polynomial is a map from exponent tuples to nonzero coefficients, each an
+``int`` if integral and a ``fractions.Fraction`` otherwise, tagged with the
+tuple of variable names it lives over (its ring).  Values are immutable and
+kept in canonical form: zero coefficients are dropped and terms are ordered
+graded-lexicographically by the declared variable order, leading term first.
+All arithmetic is exact, so polynomial identities can be tested with ``==``.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -57,9 +57,9 @@ def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def _canonical_terms(ring: tuple[str, ...],
-                     terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Exponents, Fraction]:
+                     terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Exponents, Coefficient]:
     arity = len(ring)
-    merged: dict[Exponents, Fraction] = {}
+    merged: dict[Exponents, Coefficient] = {}
     for exponents, coefficient in terms:
         exponents = tuple(exponents)
         if len(exponents) != arity:
@@ -67,26 +67,25 @@ def _canonical_terms(ring: tuple[str, ...],
                 f"exponent tuple {exponents} has length {len(exponents)}, ring has {arity} variables")
         if any(e < 0 or not isinstance(e, int) for e in exponents):
             raise ValueError(f"exponents must be natural numbers, got {exponents}")
-        coefficient = Fraction(coefficient)
+        if type(coefficient) is not int:    # a bool too: it ends as the int it equals
+            coefficient = Fraction(coefficient)
         if not coefficient:
             continue
-        total = merged.get(exponents, _ZERO) + coefficient
+        total = merged.get(exponents, 0) + coefficient
         if total:
             merged[exponents] = total
         else:
             merged.pop(exponents, None)
-    return {e: merged[e] for e in sorted(merged, key=grlex_key, reverse=True)}
-
-
-_ZERO = Fraction(0)
+    return {e: c if (c := merged[e]).denominator > 1 else c.numerator
+            for e in sorted(merged, key=grlex_key, reverse=True)}
 
 
 class Polynomial:
     """An immutable sparse polynomial over the rationals.
 
     ``ring`` is the tuple of variable names; ``terms`` maps exponent tuples
-    to nonzero coefficients.  Construction normalizes: coefficients are
-    coerced to ``Fraction``, zero terms dropped, and the term order fixed.
+    to nonzero coefficients.  Construction normalizes: coefficients become
+    ``int`` if integral, else ``Fraction``; zero terms drop; the order is fixed.
     It is the only place terms are merged: ``+``, ``*`` and
     :func:`substitute_all` hand it their raw, possibly colliding terms.
     """
@@ -133,17 +132,17 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------
 
-    def items(self) -> tuple[tuple[Exponents, Fraction], ...]:
+    def items(self) -> tuple[tuple[Exponents, Coefficient], ...]:
         """All (exponents, coefficient) pairs in canonical order, leading first."""
         return tuple(self._terms.items())
 
     def monomials(self) -> tuple[Exponents, ...]:
         return tuple(self._terms)
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), _ZERO)
+    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
+        return self._terms.get(tuple(exponents), 0)
 
-    def leading_term(self) -> tuple[Exponents, Fraction]:
+    def leading_term(self) -> tuple[Exponents, Coefficient]:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         exponents = next(iter(self._terms))
@@ -225,7 +224,7 @@ class Polynomial:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial(self.ring, {e: c / scalar for e, c in self._terms.items()})
+        return Polynomial(self.ring, {e: Fraction(c) / scalar for e, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
@@ -273,17 +272,17 @@ class Polynomial:
             raise ZeroDivisionError("exact division by the zero polynomial")
         lead_exponents, lead_coefficient = divisor.leading_term()
         remainder = dict(self._terms)
-        quotient: dict[Exponents, Fraction] = {}
+        quotient: dict[Exponents, Coefficient] = {}
         while remainder:
             r_exponents = max(remainder, key=grlex_key)
             shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
             if any(s < 0 for s in shift):
                 raise ExactDivisionError(f"{divisor} does not divide {self}")
-            factor = remainder[r_exponents] / lead_coefficient
+            factor = Fraction(remainder[r_exponents]) / lead_coefficient
             quotient[shift] = factor
             for exponents, coefficient in divisor._terms.items():
                 target = tuple(a + b for a, b in zip(shift, exponents))
-                total = remainder.get(target, _ZERO) - factor * coefficient
+                total = remainder.get(target, 0) - factor * coefficient
                 if total:
                     remainder[target] = total
                 else:
@@ -336,7 +335,7 @@ def substitute_all(polys: Iterable[Polynomial],
 
     results = []
     for p in polys:
-        terms: list[tuple[Exponents, Fraction]] = []
+        terms: list[tuple[Exponents, Coefficient]] = []
         for exponents, coefficient in p._terms.items():
             term = Polynomial.constant(target, coefficient)
             for name, e in zip(p.ring, exponents):
@@ -361,7 +360,7 @@ def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
     return "*".join(factors)
 
 
-def _term_text(coefficient: Fraction, monomial: str) -> str:
+def _term_text(coefficient: Coefficient, monomial: str) -> str:
     if not monomial:
         return str(coefficient)
     if coefficient == 1:

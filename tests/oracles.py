@@ -14,6 +14,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from fano72 import Polynomial, enumerate_monomials, hilbert_count, multiplicity_along_line
 from fano72.linsys import P3_VARS
@@ -154,6 +155,18 @@ def poly_matrix(polys, degree: int):
             row[index[e]] = c
         rows.append(row)
     return rows
+
+
+def primitive_form(p: Polynomial) -> Polynomial:
+    """The primitive integer multiple of a nonzero p: denominators cleared,
+    content 1, and the coefficient of the smallest exponent tuple positive."""
+    terms = {e: Fraction(c) for e, c in p.items()}
+    scale = lcm(*(c.denominator for c in terms.values()))
+    integers = {e: int(c * scale) for e, c in terms.items()}
+    content = gcd(*integers.values())
+    if integers[min(integers)] < 0:
+        content = -content
+    return Polynomial(p.ring, {e: c // content for e, c in integers.items()})
 
 
 # -- graded-piece oracles ---------------------------------------------------

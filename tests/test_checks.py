@@ -140,9 +140,8 @@ def test_cli_verify_suite_positional_and_flag(capsys):
     positional = capsys.readouterr().out
     assert positional.splitlines()[0].startswith("PASS  wps.weight.1146")
     assert "wps.degree.1146" in positional
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "--suite", "wps"])
-    assert exit_info.value.code == 2
+    assert main(["verify", "--suite", "wps"]) == 2
+    assert capsys.readouterr().err == "configuration error: unrecognized arguments: --suite\n"
 
 
 def test_cli_verify_theorem_with_alternate_pencil(capsys):
@@ -263,9 +262,16 @@ OVER_LONG = "1" * 5000
     ["hilbert", "--weights", ",".join(["1"] * 20000) + ",0", "--degree", "3"],
     ["hilbert", "--weights", ",".join(["1"] * 20000) + ",a", "--degree", "3"],
     ["hilbert", "--weights", OVER_LONG, "--degree", "3"],
+    ["hilbert", "--weights", "1,1", "--degree", OVER_LONG],
+    ["verify", "--seed", "abc"],
+    ["verify", "x" * 5000],
+    ["x" * 5000],
+    ["wps", "--weights", "1,1", *["a\n"] * 5000],
 ], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
         "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
-        "hilbert-non-integer-weight", "hilbert-weight-over-int-limit"])
+        "hilbert-non-integer-weight", "hilbert-weight-over-int-limit",
+        "degree-over-int-limit", "non-integer-seed", "unknown-suite", "unknown-command",
+        "many-unrecognized-arguments"])
 def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     started = time.perf_counter()
     assert main(argv) == 2
@@ -293,9 +299,14 @@ def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
     weights = st.one_of(st.lists(st.integers(-2, 40), min_size=1, max_size=6).map(
                             lambda ws: ",".join(map(str, ws))),
                         st.text("0123,a -", max_size=20))
-    argv = st.one_of(st.builds(lambda xi: ["verify", "wps", f"--xi={xi}"], cubic),
+
+    def integer_text(low, high):
+        return st.one_of(st.integers(low, high).map(str), st.text("0129-+ .e_a\n", max_size=12))
+
+    argv = st.one_of(st.builds(lambda xi, seed: ["verify", "wps", f"--xi={xi}", f"--seed={seed}"],
+                               cubic, integer_text(-5, 10 ** 6)),
                      st.builds(lambda ws, d: ["hilbert", f"--weights={ws}", f"--degree={d}"],
-                               weights, st.integers(-5, 10 ** 4)),
+                               weights, integer_text(-5, 10 ** 4)),
                      st.builds(lambda ws: ["wps", f"--weights={ws}"], weights))
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
@@ -348,9 +359,9 @@ def test_cli_wps_counts_the_basis_and_lists_it_only_under_the_cap(capsys):
 def test_cli_scroll_check(capsys):
     assert main(["verify", "scroll"]) == 0
     assert "scroll.selfint" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_info:
-        main(["scroll-check"])
-    assert exit_info.value.code == 2
+    assert main(["scroll-check"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: argument command: invalid choice: 'scroll-check'")
 
 
 def test_cli_exit_code_one_on_any_failure(monkeypatch, capsys):

@@ -155,6 +155,24 @@ def test_wrong_roots_are_rejected_by_an_explicit_check(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_refusals_of_a_cubic_at_the_bit_cap_stay_short(monkeypatch, capsys):
+    # a cubic within the coefficient cap whose text runs past 2 kB
+    rng = random.Random(1024)
+    denominator = rng.getrandbits(1024) | 1 << 1023
+    text = str(Polynomial(P3_VARS, {(3 - k, k, 0, 0): Fraction(rng.getrandbits(1024), denominator)
+                                    for k in range(4)}))
+    assert len(text) > 2000
+    for refusal in ("does not split into rational planes", "is not the product of its root planes"):
+        assert main(["verify", "--xi", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: invalid pencil cubic: the cubic ")
+        assert err.endswith(f"... {refusal}\n")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+        monkeypatch.setattr(linsys, "_rational_roots",
+                            lambda coeffs: [Fraction(1), Fraction(2), Fraction(4)])
+
+
 def test_non_cubic_inputs_are_rejected():
     with pytest.raises(InvalidPencilError):
         PencilCubic.from_polynomial(X2 ** 2 - X1 ** 2)
@@ -170,6 +188,13 @@ def test_generators_are_rescaled_and_deduplicated():
     system = LinearSystem(P3_VARS, 1, [2 * X1, X1, X2, Polynomial.zero(P3_VARS)])
     assert system.generators == (X1, X2)
     assert system.projective_dim() == 1
+
+
+def test_proportional_generators_collapse_to_one_primitive_generator():
+    system = LinearSystem(P3_VARS, 1, [X1, 2 * X1, X1 / 3])
+    assert system.generators == (X1,)
+    assert LinearSystem(P3_VARS, 1, [-X1 / 3 + X2 / 2]).generators == (-2 * X1 + 3 * X2,)
+    assert LinearSystem(P3_VARS, 1, [X1 - 2 * X2]).generators == (-X1 + 2 * X2,)
 
 
 def test_proportional_generators_span_a_point():

@@ -7,7 +7,8 @@ import pytest
 from fano72 import (ArityError, ExactDivisionError, ParseError, Polynomial,
                     SubstitutionError, generators, parse_polynomial,
                     substitute_all)
-from fano72.linsys import P3_VARS, PENCIL_VARS, PencilCubic
+from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, coordinate_plane_residual,
+                           restrict_to_pencil, restrict_to_pencil_plane)
 
 from oracles import (arithmetic_oracle_failures, canonical_items, evaluate,
                      naive_substitute, rand_poly, ring_axiom_failures,
@@ -136,6 +137,67 @@ def test_canonical_form_drops_zero_terms():
     p = Polynomial(P3_VARS, [((1, 0, 0, 0), Fraction(1)), ((1, 0, 0, 0), Fraction(-1))])
     assert p.is_zero
     assert str(p) == "0"
+
+
+# -- the canonical coefficient types -------------------------------------------
+
+def is_canonical(p: Polynomial) -> bool:
+    """Every coefficient an int (never a bool) or a Fraction with denominator above 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for _, c in p.items())
+
+
+def test_integral_coefficients_are_ints_and_the_rest_fractions():
+    half = (2 * X1) / 4
+    assert half.items() == (((1, 0, 0, 0), Fraction(1, 2)),)
+    assert type(half.coefficient((1, 0, 0, 0))) is Fraction
+    assert type(((2 * X1) / 2).coefficient((1, 0, 0, 0))) is int
+    quotient = (X1 ** 2 * X2 + X1 / 3).exact_divide(2 * X1)
+    assert quotient == Polynomial(P3_VARS, {(1, 1, 0, 0): Fraction(1, 2), (0, 0, 0, 0): Fraction(1, 6)})
+    assert is_canonical(quotient)
+    assert (6 * X1 * X2).exact_divide(2 * X1).items() == (((0, 1, 0, 0), 3),)
+    assert is_canonical((6 * X1 * X2).exact_divide(2 * X1))
+    assert Polynomial.monomial(P3_VARS, (1, 0, 0, 0), True).items() == (((1, 0, 0, 0), 1),)
+    assert is_canonical(Polynomial.monomial(P3_VARS, (1, 0, 0, 0), True))
+    assert Polynomial.monomial(P3_VARS, (1, 0, 0, 0), 0.5).items() == (((1, 0, 0, 0), Fraction(1, 2)),)
+
+
+def test_integral_fraction_and_int_build_the_same_polynomial():
+    from_fraction = Polynomial.monomial(P3_VARS, (0, 1, 0, 0), Fraction(3))
+    from_int = Polynomial.monomial(P3_VARS, (0, 1, 0, 0), 3)
+    assert from_fraction == from_int
+    assert hash(from_fraction) == hash(from_int)
+    assert type(from_fraction.coefficient((0, 1, 0, 0))) is int
+    assert str(from_fraction) == str(from_int) == "3*x2"
+
+
+def test_every_operation_keeps_coefficients_canonical():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(st.integers(-20, 20), st.booleans(), st.fractions(max_denominator=6),
+                            st.integers(-20, 20).map(Fraction))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(P3_VARS))
+    poly = st.dictionaries(exponents, coefficient, max_size=4).map(
+        lambda terms: Polynomial(P3_VARS, terms))
+    scalar = coefficient.filter(bool)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(poly, poly, scalar, st.integers(0, 3), st.lists(poly, min_size=4, max_size=4))
+    def check(p, q, s, k, images):
+        results = [p, p + q, p - q, p * q, -p, p + s, s - p, p * s, p / s, p ** k,
+                   restrict_to_pencil(p), restrict_to_pencil_plane(p, s),
+                   coordinate_plane_residual(X2 ** 5 * p, "x1"),
+                   coordinate_plane_residual(X1 ** 5 * p, "x2"),
+                   *substitute_all((p, q), dict(zip(P3_VARS, images))),
+                   parse_polynomial(str(p), P3_VARS)]
+        assert results[8] * s == p
+        if q:
+            results.append((p * q).exact_divide(q))
+            assert results[-1] == p
+        for result in results:
+            assert is_canonical(result), result.items()
+
+    check()
 
 
 def test_terms_are_in_graded_lex_order():

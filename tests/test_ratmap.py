@@ -11,7 +11,7 @@ from fano72 import (ArityError, GradedRationalMap, GradingError, LinearSystem,
 from fano72.linsys import P3_VARS, PencilCubic
 from fano72.ratmap import TARGET_VARS
 
-from oracles import pullback_multiplicativity_failures, rand_fraction
+from oracles import pullback_multiplicativity_failures, primitive_form, rand_fraction
 
 X1, X2, X3, X4 = generators(P3_VARS)
 Y1, Y2, Y3, Y4 = generators(TARGET_VARS)
@@ -112,7 +112,8 @@ def test_pullback_system_rejects_mixed_degrees():
 
 
 def test_pullback_system_equals_the_per_monomial_pullbacks():
-    # the batch shares one image-power table; each pullback here builds its own
+    # the batch shares one image-power table; each pullback here builds its own,
+    # and the system holds each in primitive integer form
     tall = (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))
     for roots in ((1, 2, 3), (1, 5, 7), tall):
         eta = weighted_parametrization(PencilCubic.from_roots(roots))
@@ -120,8 +121,7 @@ def test_pullback_system_equals_the_per_monomial_pullbacks():
             basis = enumerate_monomials((1, 1, 4, 6), degree)
             expected = []
             for e in basis:
-                pulled = eta.pullback(Polynomial.monomial(TARGET_VARS, e))
-                expected.append(pulled / pulled.leading_term()[1])
+                expected.append(primitive_form(eta.pullback(Polynomial.monomial(TARGET_VARS, e))))
             assert pullback_system(eta, basis).generators == tuple(expected)
 
 
