@@ -9,7 +9,7 @@ anticanonically embedded weighted projective space P(1,1,4,6).
 
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .checks import (CheckRecord, ConfigurationError, VerifyConfig, run_all)
-from .grading import (ANY_DEGREE, WeightSystem, enumerate_monomials,
+from .grading import (ANY_DEGREE, check_weights, enumerate_monomials,
                       hilbert_count, is_homogeneous)
 from .linalg import RowSpace, nullspace_basis
 from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,

@@ -20,8 +20,10 @@ from .grading import enumerate_monomials, hilbert_count
 from .poly import monomial_text
 from .wps import WeightedProjectiveSpace
 
-# Most monomials `hilbert --list` or `wps --basis` prints, checked from the count.
+# Most monomials `hilbert --list` or `wps --basis` prints, checked from the count,
+# and most exponents (monomials times weights): each monomial is a tuple of k of them.
 MAX_LISTED = 10 ** 5
+MAX_LISTED_EXPONENTS = 4 * 10 ** 6
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -36,24 +38,21 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _variable_names(count: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, count + 1))
-
-
 def _count(weights: tuple[int, ...], degree: int, listing: str | None) -> int:
-    """The Hilbert count, refusing a listing (named by its flag) above MAX_LISTED."""
+    """The Hilbert count, refusing a listing (named by its flag) above either cap."""
     try:
         count = hilbert_count(weights, degree)
     except ValueError as error:
         raise ConfigurationError(str(error))
-    if listing and count > MAX_LISTED:
-        raise ConfigurationError(f"{listing} would print {count} monomials, "
-                                 f"more than the cap of {MAX_LISTED}")
+    if listing and (count > MAX_LISTED or count * len(weights) > MAX_LISTED_EXPONENTS):
+        digits = str(count) if count < 10 ** 20 else f"{str(count)[:20]}..."
+        raise ConfigurationError(f"{listing} would print {digits} monomials of {len(weights)} "
+                                 f"exponents, past the caps {MAX_LISTED} and {MAX_LISTED_EXPONENTS}")
     return count
 
 
 def _print_monomials(weights: tuple[int, ...], degree: int) -> None:
-    names = _variable_names(len(weights))
+    names = [f"x{i}" for i in range(1, len(weights) + 1)]
     for exponents in enumerate_monomials(weights, degree):
         print(f"  {monomial_text(exponents, names) or '1'}")
 
@@ -109,9 +108,14 @@ def cmd_wps(args: argparse.Namespace) -> int:
         raise ConfigurationError(str(error))
     degree = space.anticanonical_weight()
     size = _count(weights, degree, "--basis" if args.basis else None)
-    print(f"P{space.weights.weights}")
+    try:
+        volume = str(space.anticanonical_selfintersection())
+    except ValueError:      # str() refuses over 4300 digits, as from 1400 unit weights
+        raise ConfigurationError(f"the anticanonical self-intersection of {len(weights)} "
+                                 f"weights has too many digits to print")
+    print(f"P{space.weights}")
     print(f"  anticanonical weight:            {degree}")
-    print(f"  anticanonical self-intersection: {space.anticanonical_selfintersection()}")
+    print(f"  anticanonical self-intersection: {volume}")
     print(f"  anticanonical basis size:        {size} (projective dimension {size - 1})")
     if args.basis:
         _print_monomials(weights, degree)

@@ -1,8 +1,8 @@
 """Weighted degrees, homogeneity tests, and graded monomial enumeration.
 
 A weight system assigns a positive integer degree to each ring variable.
-``enumerate_monomials`` lists a graded piece explicitly by bounded descent
-over exponents, while ``hilbert_count`` counts it with the coin-change
+``enumerate_monomials`` lists a graded piece explicitly by an odometer over
+exponents, while ``hilbert_count`` counts it with the coin-change
 table, in O(k*d) time and O(d) memory for k weights and degree d; the two
 serve as cross-checking routes to the same number.  Neither keeps a memo,
 so no state outlives a call.  Both refuse degrees above ``MAX_DEGREE``, and
@@ -11,39 +11,24 @@ the count refuses tables of more than 4 * ``MAX_DEGREE`` additions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from collections.abc import Sequence
+from itertools import accumulate
+from math import gcd
 
 from .poly import ArityError, Exponents, Polynomial, grlex_key
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Strictly positive integer weights, one per variable."""
+def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
+    """The weights as a tuple, checked to be nonempty integers >= 1, one per variable."""
+    weights = tuple(weights)
+    if not weights:
+        raise ValueError("a weight system must be nonempty")
+    for index, w in enumerate(weights):
+        if not isinstance(w, int) or w < 1:
+            raise ValueError(f"weights must be integers >= 1, got {w!r} "
+                             f"at entry {index} of {len(weights)}")
+    return weights
 
-    weights: tuple[int, ...]
-
-    def __init__(self, weights: Sequence[int]):
-        weights = tuple(weights)
-        if not weights:
-            raise ValueError("a weight system must be nonempty")
-        for index, w in enumerate(weights):
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"weights must be integers >= 1, got {w!r} "
-                                 f"at entry {index} of {len(weights)}")
-        object.__setattr__(self, "weights", weights)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.weights)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, index: int) -> int:
-        return self.weights[index]
-
-
-Weights = Union[WeightSystem, Sequence[int]]
 
 # Largest degree a graded piece may be asked for.  At this cap a Hilbert count
 # of four weights takes about 0.6 s on a 2-core x86 host (CPython 3.11), and
@@ -58,21 +43,8 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
 
 
-def _weights_tuple(weights: Weights) -> tuple[int, ...]:
-    if isinstance(weights, WeightSystem):
-        return weights.weights
-    return WeightSystem(weights).weights
-
-
 class _AnyDegree:
     """Marker returned for the zero polynomial, homogeneous of every degree."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "ANY_DEGREE"
@@ -81,9 +53,9 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-def is_homogeneous(f: Polynomial, weights: Weights) -> int | _AnyDegree | None:
+def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | None:
     """Common weighted degree of all terms of f, ANY_DEGREE for 0, None if mixed."""
-    weights = _weights_tuple(weights)
+    weights = check_weights(weights)
     if len(f.ring) != len(weights):
         raise ArityError(
             f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
@@ -95,32 +67,42 @@ def is_homogeneous(f: Polynomial, weights: Weights) -> int | _AnyDegree | None:
     return None
 
 
-def enumerate_monomials(weights: Weights, degree: int) -> list[Exponents]:
+def enumerate_monomials(weights: Sequence[int], degree: int) -> list[Exponents]:
     """All exponent tuples of weighted degree exactly ``degree``, leading first.
 
-    Enumeration is by bounded descent (exponent of variable i at most
-    degree / weight_i), then sorted into the canonical graded-lex order.
+    An odometer runs the first k - 1 exponents down in lexicographic order, the
+    last one forced, skipping any prefix whose remaining degree the gcd of the
+    weights still to come does not divide; the result is sorted graded-lex.
     """
-    weights = _weights_tuple(weights)
+    weights = check_weights(weights)
     _check_degree(degree)
+    *head, last = weights
+    divisors = list(accumulate(reversed(weights), gcd))[::-1]
     found: list[Exponents] = []
-
-    def descend(index: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if index == len(weights) - 1:
-            w = weights[index]
-            if remaining % w == 0:
-                found.append(prefix + (remaining // w,))
-            return
-        w = weights[index]
-        for e in range(remaining // w, -1, -1):
-            descend(index + 1, remaining - e * w, prefix + (e,))
-
-    descend(0, degree, ())
+    exponents, nonzero = [0] * len(head), []     # nonzero: positions of positive exponents
+    remaining, i = degree, 0
+    while True:
+        # refill greedily from position i; every position not in nonzero holds 0
+        while remaining and i < len(head) and not remaining % divisors[i]:
+            exponents[i], remaining = divmod(remaining, head[i])
+            if exponents[i]:
+                nonzero.append(i)
+            i += 1
+        if not remaining or (i == len(head) and not remaining % last):
+            found.append((*exponents, remaining // last))
+        if not nonzero:
+            break
+        i = nonzero[-1]         # step the rightmost positive exponent down
+        exponents[i] -= 1
+        remaining += head[i]
+        if not exponents[i]:
+            nonzero.pop()
+        i += 1
     found.sort(key=grlex_key, reverse=True)
     return found
 
 
-def hilbert_count(weights: Weights, degree: int) -> int:
+def hilbert_count(weights: Sequence[int], degree: int) -> int:
     """Number of monomials of weighted degree exactly ``degree``.
 
     Computed by the coin-change table, independently of
@@ -132,7 +114,7 @@ def hilbert_count(weights: Weights, degree: int) -> int:
     4 * ``MAX_DEGREE``, so four weights at the degree cap still fit.
     """
     _check_degree(degree)
-    weights = _weights_tuple(weights)
+    weights = check_weights(weights)
     if len(weights) * degree > 4 * MAX_DEGREE:
         raise ValueError(f"{len(weights)} weights at degree {degree} exceed the "
                          f"table-work cap of {4 * MAX_DEGREE} (weights times degree)")

@@ -12,10 +12,10 @@ only, so no rounding or pivot-size tolerance exists anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence
 
 
 IntRow = dict[Hashable, int]

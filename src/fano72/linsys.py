@@ -15,7 +15,7 @@ gives an independent certification of its dimension.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -82,6 +82,7 @@ def _rational_roots(coeffs: Sequence[int]) -> list[Fraction]:
     return sorted(Fraction(u, a3) for u in (low, middle, high))
 
 
+@dataclass(frozen=True, slots=True)
 class PencilCubic:
     """A binary cubic xi(x1, x2) splitting into three distinct pencil planes.
 
@@ -90,26 +91,12 @@ class PencilCubic:
     the three planes coincides with x1 = 0, x2 = 0, or each other.
     """
 
-    __slots__ = ("cubic", "roots", "scale")
-
-    def __init__(self, cubic: Polynomial, roots: Sequence[Fraction], scale: Fraction):
-        object.__setattr__(self, "cubic", cubic)
-        object.__setattr__(self, "roots", tuple(roots))
-        object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PencilCubic is immutable")
+    cubic: Polynomial
+    roots: tuple[Fraction, ...] = field(compare=False)    # determined by the cubic
+    scale: Fraction = field(compare=False)
 
     def __repr__(self) -> str:
         return f"PencilCubic({self.cubic})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PencilCubic):
-            return NotImplemented
-        return self.cubic == other.cubic
-
-    def __hash__(self) -> int:
-        return hash(self.cubic)
 
     @classmethod
     def from_roots(cls, roots: Sequence[Fraction | int], scale: Fraction | int = 1) -> PencilCubic:

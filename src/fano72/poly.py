@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import compress
 
 Exponents = tuple[int, ...]
-Coefficient = Union[int, Fraction]
+Coefficient = int | Fraction
 
 
 class ArityError(ValueError):
@@ -351,13 +352,8 @@ def substitute_all(polys: Iterable[Polynomial],
 
 def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
     """Render an exponent tuple, e.g. ``x1^2*x3`` (empty string for the constant)."""
-    factors = []
-    for name, e in zip(names, exponents):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in compress(zip(names, exponents), exponents))
 
 
 def _term_text(coefficient: Coefficient, monomial: str) -> str:

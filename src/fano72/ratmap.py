@@ -11,9 +11,10 @@ P(1, 1, 4, 6).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
 
-from .grading import ANY_DEGREE, WeightSystem, Weights, is_homogeneous, _weights_tuple
+from .grading import ANY_DEGREE, check_weights, is_homogeneous
 from .linsys import LinearSystem, P3_VARS, PencilCubic, X1, X2, X3, X4
 from .poly import Exponents, Polynomial, substitute_all
 
@@ -24,6 +25,7 @@ class GradingError(ValueError):
     """A component or pullback fails the required degree bookkeeping."""
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GradedRationalMap:
     """A rational map from ordinary projective space to a weighted target.
 
@@ -32,13 +34,14 @@ class GradedRationalMap:
     degree.
     """
 
-    __slots__ = ("source_ring", "target_ring", "target_weights", "components")
+    source_ring: tuple[str, ...]
+    target_ring: tuple[str, ...]
+    target_weights: tuple[int, ...]
+    components: tuple[Polynomial, ...]
 
-    def __init__(self, source_ring: Sequence[str], target_ring: Sequence[str],
-                 target_weights: Weights, components: Sequence[Polynomial]):
-        source_ring = tuple(source_ring)
-        target_ring = tuple(target_ring)
-        weights = WeightSystem(_weights_tuple(target_weights))
+    def __post_init__(self):
+        source_ring, target_ring = tuple(self.source_ring), tuple(self.target_ring)
+        weights, components = check_weights(self.target_weights), tuple(self.components)
         if len(target_ring) != len(weights):
             raise GradingError("target ring and target weights disagree in arity")
         if len(components) != len(target_ring):
@@ -56,14 +59,11 @@ class GradedRationalMap:
         object.__setattr__(self, "source_ring", source_ring)
         object.__setattr__(self, "target_ring", target_ring)
         object.__setattr__(self, "target_weights", weights)
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedRationalMap is immutable")
+        object.__setattr__(self, "components", components)
 
     def __repr__(self) -> str:
         inside = ", ".join(str(c) for c in self.components)
-        return f"GradedRationalMap([{inside}] -> P{self.target_weights.weights})"
+        return f"GradedRationalMap([{inside}] -> P{self.target_weights})"
 
     def component_degrees(self) -> tuple[int, ...]:
         unit = (1,) * len(self.source_ring)

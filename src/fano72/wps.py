@@ -9,26 +9,28 @@ the integer 72 for both P(1,1,4,6) and P(1,1,1,3).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 
-from .grading import WeightSystem, Weights, enumerate_monomials, _weights_tuple
+from .grading import check_weights, enumerate_monomials
 from .poly import Exponents
 
 
+@dataclass(frozen=True, slots=True)
 class WeightedProjectiveSpace:
     """A well-formed weighted projective space P(w0, ..., wn)."""
 
-    __slots__ = ("weights",)
+    weights: tuple[int, ...]
 
-    def __init__(self, weights: Weights):
-        ws = WeightSystem(_weights_tuple(weights))
+    def __post_init__(self):
+        ws = check_weights(self.weights)
         if len(ws) < 2:
             raise ValueError("a projective space needs at least two weights")
         # gcd of the weights before index i, and of those from index i on
         before = list(accumulate(ws, gcd, initial=0))
-        after = list(accumulate(reversed(ws.weights), gcd, initial=0))[::-1]
+        after = list(accumulate(reversed(ws), gcd, initial=0))[::-1]
         for omit in range(len(ws)):
             g = gcd(before[omit], after[omit + 1])
             if g != 1:
@@ -36,23 +38,12 @@ class WeightedProjectiveSpace:
                                  f"well-formedness: omitting entry {omit} leaves gcd {g}")
         object.__setattr__(self, "weights", ws)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedProjectiveSpace is immutable")
+    def __repr__(self) -> str:
+        return f"P{self.weights}"
 
     @property
     def dimension(self) -> int:
         return len(self.weights) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedProjectiveSpace):
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash(self.weights)
-
-    def __repr__(self) -> str:
-        return f"P{self.weights.weights}"
 
     def anticanonical_weight(self) -> int:
         """Weighted degree of the anticanonical sheaf: the sum of the weights."""

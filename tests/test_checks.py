@@ -250,6 +250,18 @@ def test_cli_wps_checks_many_weights_in_linear_time(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("weight, degree, count", [(1, 1, 1500), (1, 0, 1), (2, 1, 0)])
+def test_cli_lists_the_monomials_of_1500_weights(weight, degree, count, capsys):
+    # one recursion level per weight ended each of these in a RecursionError
+    started = time.perf_counter()
+    assert main(["hilbert", "--weights", ",".join([str(weight)] * 1500),
+                 "--degree", str(degree), "--list"]) == 0
+    assert time.perf_counter() - started < 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"), degree {degree}: {count} monomials")
+    assert len(lines) == 1 + count
+
+
 OVER_LONG = "1" * 5000
 
 
@@ -267,11 +279,17 @@ OVER_LONG = "1" * 5000
     ["verify", "x" * 5000],
     ["x" * 5000],
     ["wps", "--weights", "1,1", *["a\n"] * 5000],
+    ["wps", "--weights", ",".join(["1"] * 1500), "--basis"],
+    ["hilbert", "--weights", ",".join(["1"] * 2000), "--degree", "2000", "--list"],
+    ["wps", "--weights", ",".join(["1"] * 1500)],
+    ["hilbert", "--weights", ",".join(["1"] * 446), "--degree", "2", "--list"],
 ], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
         "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
         "hilbert-non-integer-weight", "hilbert-weight-over-int-limit",
         "degree-over-int-limit", "non-integer-seed", "unknown-suite", "unknown-command",
-        "many-unrecognized-arguments"])
+        "many-unrecognized-arguments", "wps-basis-of-a-900-digit-count",
+        "hilbert-list-of-a-1200-digit-count", "wps-self-intersection-over-4300-digits",
+        "hilbert-list-over-the-exponent-cap"])
 def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     started = time.perf_counter()
     assert main(argv) == 2
@@ -298,16 +316,20 @@ def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
         st.text("x12^*/+- 0379", max_size=30))
     weights = st.one_of(st.lists(st.integers(-2, 40), min_size=1, max_size=6).map(
                             lambda ws: ",".join(map(str, ws))),
-                        st.text("0123,a -", max_size=20))
+                        st.text("0123,a -", max_size=20),
+                        st.builds(lambda w, n: ",".join([str(w)] * n),
+                                  st.integers(1, 3), st.integers(1, 1500)))
 
     def integer_text(low, high):
         return st.one_of(st.integers(low, high).map(str), st.text("0129-+ .e_a\n", max_size=12))
 
     argv = st.one_of(st.builds(lambda xi, seed: ["verify", "wps", f"--xi={xi}", f"--seed={seed}"],
                                cubic, integer_text(-5, 10 ** 6)),
-                     st.builds(lambda ws, d: ["hilbert", f"--weights={ws}", f"--degree={d}"],
-                               weights, integer_text(-5, 10 ** 4)),
-                     st.builds(lambda ws: ["wps", f"--weights={ws}"], weights))
+                     st.builds(lambda ws, d, flags: ["hilbert", f"--weights={ws}", f"--degree={d}",
+                                                     *flags],
+                               weights, integer_text(-5, 10 ** 4), st.sampled_from([[], ["--list"]])),
+                     st.builds(lambda ws, flags: ["wps", f"--weights={ws}", *flags],
+                               weights, st.sampled_from([[], ["--basis"]])))
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(argv)

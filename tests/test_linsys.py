@@ -37,6 +37,17 @@ def test_cubic_recovered_from_text():
     assert pencil.roots == (1, 2, 3)
 
 
+def test_pencils_are_immutable_values():
+    pencils = [PencilCubic.from_roots((1, 2, 3)),
+               PencilCubic.from_text("x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3"),
+               PencilCubic.default()]
+    assert pencils[0] == pencils[1] == pencils[2]
+    assert len({hash(pencil) for pencil in pencils}) == 1
+    with pytest.raises(AttributeError):
+        pencils[0].roots = (4, 5, 6)
+    assert repr(pencils[0]) == "PencilCubic(-6*x1^3 + 11*x1^2*x2 - 6*x1*x2^2 + x2^3)"
+
+
 def test_scaled_cubic_keeps_its_roots():
     pencil = PencilCubic.from_polynomial(Fraction(5, 3) * DEFAULT.cubic)
     assert pencil.roots == (1, 2, 3)

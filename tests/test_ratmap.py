@@ -21,7 +21,7 @@ ETA = weighted_parametrization(DEFAULT)
 
 def test_parametrization_component_degrees_and_weights():
     assert ETA.component_degrees() == (1, 1, 4, 6)
-    assert ETA.target_weights.weights == (1, 1, 4, 6)
+    assert ETA.target_weights == (1, 1, 4, 6)
     assert ETA.components[0] == X1
     assert ETA.components[1] == X2
 

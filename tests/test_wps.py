@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from fano72 import WeightedProjectiveSpace
+from fano72 import PencilCubic, WeightedProjectiveSpace, weighted_parametrization
 
 from oracles import brute_force_monomials
 
@@ -84,3 +84,9 @@ def test_spaces_are_immutable_values():
     assert space.dimension == 3
     with pytest.raises(AttributeError):
         space.weights = None
+    listed = WeightedProjectiveSpace([1, 1, 4, 6])
+    assert listed == space and hash(listed) == hash(space)
+    assert listed.weights == (1, 1, 4, 6)
+    eta = weighted_parametrization(PencilCubic.default())
+    with pytest.raises(AttributeError):
+        eta.components = ()
