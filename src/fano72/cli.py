@@ -128,6 +128,13 @@ class _Parser(argparse.ArgumentParser):
         text = " ".join(w if len(w) <= 20 else w[:20] + "..." for w in message.split())
         raise ConfigurationError(text if len(text) <= 160 else text[:160] + "...")
 
+    def _get_values(self, action, arg_strings):
+        # argparse (CPython 3.11) strips a value of exactly "--", as in --degree=--, and
+        # would hand the command [] in place of a string or a number
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument, got '--'")
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

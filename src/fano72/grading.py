@@ -70,34 +70,41 @@ def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | 
 def enumerate_monomials(weights: Sequence[int], degree: int) -> list[Exponents]:
     """All exponent tuples of weighted degree exactly ``degree``, leading first.
 
-    An odometer runs the first k - 1 exponents down in lexicographic order, the
-    last one forced, skipping any prefix whose remaining degree the gcd of the
-    weights still to come does not divide; the result is sorted graded-lex.
+    The exponent of a smallest weight (the last such) is forced, and an
+    odometer runs the others down in lexicographic order, skipping any prefix
+    whose remaining degree the gcd of the weights still to come does not
+    divide; the result is sorted graded-lex.  When the forced weight is 1,
+    every visited prefix completes, so the walk is linear in the output.
     """
     weights = check_weights(weights)
     _check_degree(degree)
-    *head, last = weights
-    divisors = list(accumulate(reversed(weights), gcd))[::-1]
+    forced = min(range(len(weights)), key=lambda i: (weights[i], -i))
+    free = [i for i in range(len(weights)) if i != forced]
+    last = weights[forced]
+    divisors = list(accumulate(reversed([weights[i] for i in free] + [last]), gcd))[::-1]
     found: list[Exponents] = []
-    exponents, nonzero = [0] * len(head), []     # nonzero: positions of positive exponents
-    remaining, i = degree, 0
+    exponents, nonzero = [0] * len(weights), []     # nonzero: steps j with free[j] positive
+    remaining, j = degree, 0
     while True:
-        # refill greedily from position i; every position not in nonzero holds 0
-        while remaining and i < len(head) and not remaining % divisors[i]:
-            exponents[i], remaining = divmod(remaining, head[i])
+        # refill greedily from step j; every free position not in nonzero holds 0
+        while remaining and j < len(free) and not remaining % divisors[j]:
+            i = free[j]
+            exponents[i], remaining = divmod(remaining, weights[i])
             if exponents[i]:
-                nonzero.append(i)
-            i += 1
-        if not remaining or (i == len(head) and not remaining % last):
-            found.append((*exponents, remaining // last))
+                nonzero.append(j)
+            j += 1
+        if not remaining or (j == len(free) and not remaining % last):
+            exponents[forced] = remaining // last
+            found.append(tuple(exponents))
         if not nonzero:
             break
-        i = nonzero[-1]         # step the rightmost positive exponent down
+        j = nonzero[-1]         # step the rightmost positive exponent down
+        i = free[j]
         exponents[i] -= 1
-        remaining += head[i]
+        remaining += weights[i]
         if not exponents[i]:
             nonzero.pop()
-        i += 1
+        j += 1
     found.sort(key=grlex_key, reverse=True)
     return found
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free rank and rational nullspace.
+"""Exact linear algebra: fraction-free rank and an integer nullspace.
 
 Rows are sparse mappings {column: value}, or dense sequences whose columns
 are their positions.  Columns are any mutually comparable hashable keys,
@@ -7,7 +7,10 @@ exponent tuples of one ring, as ``LinearSystem`` uses them.  Incoming ``int``
 or ``Fraction`` rows are scaled to primitive integer rows (denominators
 cleared, content divided out, entry at the smallest column positive) with no
 ``Fraction`` arithmetic, and elimination uses integer cross-multiplication
-only, so no rounding or pivot-size tolerance exists anywhere.
+only, so no rounding or pivot-size tolerance exists anywhere.  The nullspace
+is read off the integer reduced row echelon form that the same
+cross-multiplication reaches by back elimination, the fraction-free idea of
+Bareiss (1968), so its basis vectors are primitive ``int`` tuples.
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ def _primitive(row: IntRow) -> IntRow:
     if row[min(row)] < 0:
         content = -content
     return {c: v // content for c, v in row.items()}
+
+
+def _eliminate(row: IntRow, pivot: IntRow, column: Hashable) -> IntRow:
+    """The primitive multiple of pivot[column]*row - row[column]*pivot, zero at column."""
+    a, b = pivot[column], row[column]
+    reduced: IntRow = {}
+    for c in row.keys() | pivot.keys():
+        v = a * row.get(c, 0) - b * pivot.get(c, 0)
+        if v:
+            reduced[c] = v
+    return _primitive(reduced)
 
 
 def _to_int_row(row: Mapping[Hashable, Fraction | int] | Sequence[Fraction | int]) -> IntRow:
@@ -59,13 +73,7 @@ class RowSpace:
             pivot = self._pivots.get(lead)
             if pivot is None:
                 break
-            a, b = pivot[lead], r[lead]
-            reduced: IntRow = {}
-            for c in r.keys() | pivot.keys():
-                v = a * r.get(c, 0) - b * pivot.get(c, 0)
-                if v:
-                    reduced[c] = v
-            r = _primitive(reduced)
+            r = _eliminate(r, pivot, lead)
         return r
 
     def contains(self, row) -> bool:
@@ -80,21 +88,31 @@ class RowSpace:
         return True
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right nullspace of a dense matrix, one vector per free column.
 
-    The rows are eliminated into a RowSpace; each free column f yields the
-    solution that is 1 at f and 0 at the other free columns, found by
-    back-substitution through the echelon rows from the last pivot up.
-    These are the vectors read off the reduced row echelon form.
+    The rows are eliminated into a RowSpace, whose pivot rows are then
+    back-reduced, last pivot first, to integer reduced row echelon form: each
+    row is zero at every pivot column but its own, where it is positive.  A
+    free column f meets the rows with a nonzero entry there; with L the lcm
+    of their pivot entries, the vector is L at f, -row[f] * (L / row[p]) at
+    the pivot p of each such row and 0 elsewhere, divided by its content.
+    So each vector is primitive, positive at f and zero at the other free
+    columns: the reduced-row-echelon solution scaled to integers.
     """
     echelon = RowSpace(rows)._pivots
+    for p in sorted(echelon, reverse=True):
+        for q, row in echelon.items():
+            if q < p and p in row:
+                echelon[q] = _eliminate(row, echelon[p], p)
     basis = []
     for f in (c for c in range(ncols) if c not in echelon):
-        vector = [Fraction(0)] * ncols
-        vector[f] = Fraction(1)
-        for p in sorted(echelon, reverse=True):
-            row = echelon[p]
-            vector[p] = Fraction(-sum(v * vector[c] for c, v in row.items() if c != p), row[p])
-        basis.append(tuple(vector))
+        meeting = [(p, row[p], row[f]) for p, row in echelon.items() if f in row]
+        scale = lcm(*(lead for _, lead, _ in meeting))
+        vector = [0] * ncols
+        vector[f] = scale
+        for p, lead, entry in meeting:
+            vector[p] = -entry * (scale // lead)
+        content = gcd(*vector)
+        basis.append(tuple(v // content for v in vector))
     return basis

@@ -182,7 +182,7 @@ class LinearSystem:
                 continue
             if is_homogeneous(g, unit) != degree:
                 raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
-            primitive = Polynomial(ring, _to_int_row(dict(g.items())))
+            primitive = Polynomial._from_valid_terms(ring, _to_int_row(dict(g.items())).items())
             if primitive not in seen:
                 seen.add(primitive)
                 normalized.append(primitive)
@@ -285,8 +285,8 @@ def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Fraction], ...]:
     return f.items()
 
 
-# Each restriction below sends a term to at most one term, so it maps
-# f.items() directly; the Polynomial constructor merges terms that collide.
+# Each restriction below sends a term of a valid polynomial to at most one
+# term, so it maps f.items() directly; the shared merge loop sums collisions.
 
 def restrict_to_pencil(f: Polynomial) -> Polynomial:
     """Substitute x2 = t*x1 with a symbolic pencil parameter t.
@@ -294,8 +294,8 @@ def restrict_to_pencil(f: Polynomial) -> Polynomial:
     The result lives in the ring (t, x1, x3, x4), so restrictions to the
     whole pencil of planes through the line x1 = x2 = 0 stay exact.
     """
-    return Polynomial(PENCIL_VARS, (((b, a + b, c, d), k)
-                                    for (a, b, c, d), k in _p3_items(f)))
+    return Polynomial._from_valid_terms(PENCIL_VARS, (((b, a + b, c, d), k)
+                                                     for (a, b, c, d), k in _p3_items(f)))
 
 
 def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
@@ -315,9 +315,12 @@ def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
 
 def restrict_to_pencil_plane(f: Polynomial, tau: Fraction | int) -> Polynomial:
     """Restrict to the single pencil plane x2 = tau*x1 (stays in the P^3 ring)."""
+    items = _p3_items(f)
     tau = Fraction(tau)
-    return Polynomial(P3_VARS, (((a + b, 0, c, d), k * tau ** b)
-                                for (a, b, c, d), k in _p3_items(f)))
+    tau = tau if tau.denominator > 1 else tau.numerator    # an integral root keeps int arithmetic
+    powers = [tau ** b for b in range(f.degree_in(("x2",)) + 1)]
+    return Polynomial._from_valid_terms(P3_VARS, (((a + b, 0, c, d), k * powers[b])
+                                                  for (a, b, c, d), k in items))
 
 
 def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
@@ -395,7 +398,7 @@ def sextic_constraint_monomials() -> list[Exponents]:
     return [e for e in enumerate_monomials((1, 1, 1, 1), 6) if e[0] + e[1] >= 5]
 
 
-def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[list[Fraction]]]:
+def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[list[int]]]:
     """Linear conditions cutting the sextic system out of the multiplicity-5 space.
 
     Over the 19 monomials of (x1, x2)-degree >= 5 the conditions are:
@@ -403,26 +406,27 @@ def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[l
     x4, i.e. the x2^5*x4 resp. x1^5*x4 coefficient vanishes) and two per
     pencil root (the section by x2 = tau*x1 must collapse to the line,
     i.e. the x1^5*x3 and x1^5*x4 coefficients of the restriction vanish).
+    For tau = p/q in lowest terms a root row holds p^b * q^(5-b) where that
+    restriction has tau^b: the same condition times q^5, in integers.
     """
     monomials = sextic_constraint_monomials()
     index = {e: i for i, e in enumerate(monomials)}
     width = len(monomials)
 
-    def empty() -> list[Fraction]:
-        return [Fraction(0)] * width
-
     rows = []
-    alpha1 = empty()
-    alpha1[index[(0, 5, 0, 1)]] = Fraction(1)
+    alpha1 = [0] * width
+    alpha1[index[(0, 5, 0, 1)]] = 1
     rows.append(alpha1)
-    alpha2 = empty()
-    alpha2[index[(5, 0, 0, 1)]] = Fraction(1)
+    alpha2 = [0] * width
+    alpha2[index[(5, 0, 0, 1)]] = 1
     rows.append(alpha2)
     for tau in pencil.roots:
-        x3_row, x4_row = empty(), empty()
+        p, q = tau.numerator, tau.denominator
+        x3_row, x4_row = [0] * width, [0] * width
         for b in range(6):
-            x3_row[index[(5 - b, b, 1, 0)]] = tau ** b
-            x4_row[index[(5 - b, b, 0, 1)]] = tau ** b
+            entry = p ** b * q ** (5 - b)
+            x3_row[index[(5 - b, b, 1, 0)]] = entry
+            x4_row[index[(5 - b, b, 0, 1)]] = entry
         rows.append(x3_row)
         rows.append(x4_row)
     return monomials, rows

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
+from operator import add
 
 Exponents = tuple[int, ...]
 Coefficient = int | Fraction
@@ -57,10 +58,10 @@ def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), exponents)
 
 
-def _canonical_terms(ring: tuple[str, ...],
-                     terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Exponents, Coefficient]:
+def _checked_terms(ring: tuple[str, ...], terms: Iterable[tuple[Sequence[int], Coefficient]]
+                   ) -> Iterator[tuple[Exponents, Coefficient]]:
+    """Caller terms, exponent tuples checked, every non-``int`` coefficient a Fraction."""
     arity = len(ring)
-    merged: dict[Exponents, Coefficient] = {}
     for exponents, coefficient in terms:
         exponents = tuple(exponents)
         if len(exponents) != arity:
@@ -70,6 +71,13 @@ def _canonical_terms(ring: tuple[str, ...],
             raise ValueError(f"exponents must be natural numbers, got {exponents}")
         if type(coefficient) is not int:    # a bool too: it ends as the int it equals
             coefficient = Fraction(coefficient)
+        yield exponents, coefficient
+
+
+def _merged_terms(terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Exponents, Coefficient]:
+    """The one merge loop: collisions summed, zeros dropped, grlex order, integral values as int."""
+    merged: dict[Exponents, Coefficient] = {}
+    for exponents, coefficient in terms:
         if not coefficient:
             continue
         total = merged.get(exponents, 0) + coefficient
@@ -87,8 +95,10 @@ class Polynomial:
     ``ring`` is the tuple of variable names; ``terms`` maps exponent tuples
     to nonzero coefficients.  Construction normalizes: coefficients become
     ``int`` if integral, else ``Fraction``; zero terms drop; the order is fixed.
-    It is the only place terms are merged: ``+``, ``*`` and
-    :func:`substitute_all` hand it their raw, possibly colliding terms.
+    Caller terms are checked (arity, natural exponents) once, here; ``+``,
+    ``*``, :func:`substitute_all` and :meth:`exact_divide` build exponents
+    from valid ones and hand their raw, possibly colliding terms to the
+    same merge loop through the private ``_from_valid_terms``.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -101,8 +111,19 @@ class Polynomial:
         if isinstance(terms, Mapping):
             terms = terms.items()
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", _canonical_terms(ring, terms))
+        object.__setattr__(self, "_terms", _merged_terms(_checked_terms(ring, terms)))
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_valid_terms(cls, ring: tuple[str, ...],
+                          terms: Iterable[tuple[Exponents, Coefficient]]) -> Polynomial:
+        """Merge terms whose exponent tuples are already valid for ``ring`` and whose
+        coefficients are ``int`` or ``Fraction``: the constructor minus its checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", _merged_terms(terms))
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -191,12 +212,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial(self.ring, (*self._terms.items(), *other._terms.items()))
+        return Polynomial._from_valid_terms(self.ring,
+                                            (*self._terms.items(), *other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_valid_terms(self.ring, ((e, -c) for e, c in self._terms.items()))
 
     def __sub__(self, other) -> Polynomial:
         other = self._coerce(other)
@@ -214,9 +236,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial(self.ring, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                                      for e1, c1 in self._terms.items()
-                                      for e2, c2 in other._terms.items()))
+        return Polynomial._from_valid_terms(self.ring, ((tuple(map(add, e1, e2)), c1 * c2)
+                                                        for e1, c1 in self._terms.items()
+                                                        for e2, c2 in other._terms.items()))
 
     __rmul__ = __mul__
 
@@ -282,13 +304,13 @@ class Polynomial:
             factor = Fraction(remainder[r_exponents]) / lead_coefficient
             quotient[shift] = factor
             for exponents, coefficient in divisor._terms.items():
-                target = tuple(a + b for a, b in zip(shift, exponents))
+                target = tuple(map(add, shift, exponents))
                 total = remainder.get(target, 0) - factor * coefficient
                 if total:
                     remainder[target] = total
                 else:
                     remainder.pop(target, None)
-        return Polynomial(self.ring, quotient)
+        return Polynomial._from_valid_terms(self.ring, quotient.items())
 
     # -- text form ------------------------------------------------------
 
@@ -326,10 +348,12 @@ def substitute_all(polys: Iterable[Polynomial],
         elif image.ring != target:
             raise SubstitutionError(
                 f"images live in different rings: {target} vs {image.ring}")
+    unit = (0,) * len(target)
+    one = Polynomial._from_valid_terms(target, ((unit, 1),))
     powers: dict[str, list[Polynomial]] = {}
 
     def image_power(name: str, k: int) -> Polynomial:
-        cache = powers.setdefault(name, [Polynomial.constant(target, 1)])
+        cache = powers.setdefault(name, [one])
         while len(cache) <= k:
             cache.append(cache[-1] * images[name])
         return cache[k]
@@ -338,7 +362,7 @@ def substitute_all(polys: Iterable[Polynomial],
     for p in polys:
         terms: list[tuple[Exponents, Coefficient]] = []
         for exponents, coefficient in p._terms.items():
-            term = Polynomial.constant(target, coefficient)
+            term = Polynomial._from_valid_terms(target, ((unit, coefficient),))
             for name, e in zip(p.ring, exponents):
                 if not e:
                     continue
@@ -346,7 +370,7 @@ def substitute_all(polys: Iterable[Polynomial],
                     raise SubstitutionError(f"no image for variable {name!r} occurring in {p}")
                 term = term * image_power(name, e)
             terms.extend(term.items())
-        results.append(Polynomial(target, terms))
+        results.append(Polynomial._from_valid_terms(target, terms))
     return results
 
 

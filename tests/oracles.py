@@ -124,12 +124,12 @@ def arithmetic_oracle_failures(seed: int, cases: int) -> list[str]:
 
 # -- dense rational elimination, the rank oracle ---------------------------
 
-def rref_rank(rows) -> int:
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense reduced row echelon form over fractions and its pivot columns."""
     matrix = [[Fraction(v) for v in row] for row in rows]
-    if not matrix:
-        return 0
-    rank = 0
-    for c in range(len(matrix[0])):
+    pivots: list[int] = []
+    for c in range(len(matrix[0]) if matrix else 0):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(matrix)) if matrix[i][c]), None)
         if pivot is None:
             continue
@@ -140,8 +140,25 @@ def rref_rank(rows) -> int:
             if i != rank and matrix[i][c]:
                 f = matrix[i][c]
                 matrix[i] = [vi - f * vr for vi, vr in zip(matrix[i], matrix[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return matrix, pivots
+
+
+def rref_rank(rows) -> int:
+    return len(_rref(rows)[1])
+
+
+def rref_nullspace(rows, ncols: int) -> dict[int, list[Fraction]]:
+    """For each free column f, the unique solution that is 1 at f and 0 at the
+    other free columns, read off the dense reduced row echelon form."""
+    matrix, pivots = _rref(rows)
+    solutions = {}
+    for f in (c for c in range(ncols) if c not in pivots):
+        vector = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, p in zip(matrix, pivots):
+            vector[p] = -row[f]
+        solutions[f] = vector
+    return solutions
 
 
 def poly_matrix(polys, degree: int):

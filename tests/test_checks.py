@@ -16,7 +16,7 @@ from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
 from fano72.cli import MAX_LISTED, main
-from fano72.grading import MAX_DEGREE
+from fano72.grading import MAX_DEGREE, hilbert_count
 from fano72.linsys import P3_VARS
 
 from oracles import closed_sum_count
@@ -262,6 +262,18 @@ def test_cli_lists_the_monomials_of_1500_weights(weight, degree, count, capsys):
     assert len(lines) == 1 + count
 
 
+def test_cli_lists_past_a_large_last_weight_in_linear_time(capsys):
+    # forcing the last exponent walked every dead-end prefix: 11 s at degree 8000
+    started = time.perf_counter()
+    assert main(["hilbert", "--weights", "1,1,1000000", "--degree", "8000", "--list"]) == 0
+    assert time.perf_counter() - started < 2
+    lines = capsys.readouterr().out.splitlines()
+    count = hilbert_count((1, 1, 1000000), 8000)
+    assert lines[0].endswith(f"degree 8000: {count} monomials")
+    assert len(lines) == 1 + count == 8002
+    assert lines[1:3] == ["  x1^8000", "  x1^7999*x2"]
+
+
 OVER_LONG = "1" * 5000
 
 
@@ -283,13 +295,18 @@ OVER_LONG = "1" * 5000
     ["hilbert", "--weights", ",".join(["1"] * 2000), "--degree", "2000", "--list"],
     ["wps", "--weights", ",".join(["1"] * 1500)],
     ["hilbert", "--weights", ",".join(["1"] * 446), "--degree", "2", "--list"],
+    ["hilbert", "--weights", "1", "--degree=--"],
+    ["wps", "--weights=--"],
+    ["verify", "all", "--xi=--"],
+    ["verify", "all", "--seed=--"],
 ], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
         "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
         "hilbert-non-integer-weight", "hilbert-weight-over-int-limit",
         "degree-over-int-limit", "non-integer-seed", "unknown-suite", "unknown-command",
         "many-unrecognized-arguments", "wps-basis-of-a-900-digit-count",
         "hilbert-list-of-a-1200-digit-count", "wps-self-intersection-over-4300-digits",
-        "hilbert-list-over-the-exponent-cap"])
+        "hilbert-list-over-the-exponent-cap", "degree-double-dash", "weights-double-dash",
+        "xi-double-dash", "seed-double-dash"])
 def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     started = time.perf_counter()
     assert main(argv) == 2

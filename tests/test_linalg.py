@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
-from fano72 import RowSpace, enumerate_monomials, nullspace_basis
+from fano72 import PencilCubic, RowSpace, enumerate_monomials, nullspace_basis
+from fano72.linsys import sextic_constraint_rows
 
-from oracles import rref_rank
+from oracles import rref_nullspace, rref_rank
 
 
 def test_rank_of_identity_like_rows():
@@ -88,6 +90,21 @@ def test_nullspace_vectors_solve_the_system():
         assert RowSpace(basis).rank == len(basis)
 
 
+def _assert_integer_echelon_solutions(rows, ncols, free):
+    """Each vector: primitive ints, positive at its free column f and zero at the
+    others, and over its entry at f the dense oracle's unique solution."""
+    basis = nullspace_basis(rows, ncols)
+    solutions = rref_nullspace(rows, ncols)
+    assert len(basis) == len(free) == len(solutions)
+    for f, vector in zip(free, basis):
+        assert all(type(v) is int for v in vector)
+        assert gcd(*vector) == 1 and vector[f] > 0
+        assert [vector[c] for c in free if c != f] == [0] * (len(free) - 1)
+        assert [Fraction(v, vector[f]) for v in vector] == solutions[f]
+        for row in rows:
+            assert sum(r * v for r, v in zip(row, vector)) == 0
+
+
 def test_nullspace_vectors_are_the_reduced_echelon_solutions():
     # A column is free iff it does not raise the rank of the columns before it;
     # the solution with 1 at one free column and 0 at the others is unique.
@@ -98,10 +115,13 @@ def test_nullspace_vectors_are_the_reduced_echelon_solutions():
                 for _ in range(nrows)]
         free = [c for c in range(ncols)
                 if rref_rank([row[:c + 1] for row in rows]) == rref_rank([row[:c] for row in rows])]
-        basis = nullspace_basis(rows, ncols)
-        assert len(basis) == len(free)
-        for f, vector in zip(free, basis):
-            assert all(isinstance(v, Fraction) for v in vector)
-            assert [vector[c] for c in free] == [int(c == f) for c in free]
-            for row in rows:
-                assert sum(r * v for r, v in zip(row, vector)) == 0
+        _assert_integer_echelon_solutions(rows, ncols, free)
+
+
+def test_nullspace_of_the_tall_pencil_constraints_is_the_echelon_solution():
+    pencil = PencilCubic.from_roots((Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3)))
+    monomials, rows = sextic_constraint_rows(pencil)
+    free = [c for c in range(len(monomials))
+            if rref_rank([row[:c + 1] for row in rows]) == rref_rank([row[:c] for row in rows])]
+    assert len(free) == 11
+    _assert_integer_echelon_solutions(rows, len(monomials), free)

@@ -398,6 +398,23 @@ def test_constraint_matrix_shape_and_rank():
     assert rref_rank(rows) == 8
 
 
+@pytest.mark.parametrize("roots", [(1, 2, 3),
+                                   (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))],
+                         ids=["default", "tall"])
+def test_constraint_rows_are_the_rational_conditions_times_q_to_the_fifth(roots):
+    pencil = PencilCubic.from_roots(roots)
+    monomials, rows = sextic_constraint_rows(pencil)
+    assert all(type(v) is int for row in rows for v in row)
+    rational = [[int(m == plane) for m in monomials] for plane in ((0, 5, 0, 1), (5, 0, 0, 1))]
+    scales = [1, 1]
+    for tau in pencil.roots:
+        for tail in ((1, 0), (0, 1)):
+            rational.append([tau ** m[1] if m[2:] == tail else 0 for m in monomials])
+            scales.append(tau.denominator ** 5)
+    assert rows == [[scale * v for v in row] for scale, row in zip(scales, rational)]
+    assert rref_rank(rows) == rref_rank(rational) == 8
+
+
 def test_constraint_solution_dimension_and_span():
     solved = solve_sextic_constraints(DEFAULT)
     assert len(solved.generators) == 11

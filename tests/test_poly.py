@@ -10,8 +10,8 @@ from fano72 import (ArityError, ExactDivisionError, ParseError, Polynomial,
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, coordinate_plane_residual,
                            restrict_to_pencil, restrict_to_pencil_plane)
 
-from oracles import (arithmetic_oracle_failures, canonical_items, evaluate,
-                     naive_substitute, rand_poly, ring_axiom_failures,
+from oracles import (arithmetic_oracle_failures, canonical_items, evaluate, naive_add,
+                     naive_mul, naive_substitute, rand_poly, ring_axiom_failures,
                      substitution_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
@@ -42,6 +42,55 @@ def test_power_edge_cases():
     assert Polynomial.zero(P3_VARS) ** 0 == Polynomial.constant(P3_VARS, 1)
     with pytest.raises(ValueError):
         X1 ** -1
+
+
+@pytest.mark.parametrize("build", [
+    lambda e: Polynomial(P3_VARS, {e: 1}),
+    lambda e: Polynomial(P3_VARS, [((0, 0, 0, 0), 2), (e, Fraction(1, 2))]),
+    lambda e: Polynomial.monomial(P3_VARS, e, 3),
+], ids=["mapping", "pairs", "monomial"])
+@pytest.mark.parametrize("exponents, error, message", [
+    ((1, 0, 0), ArityError, "has length 3, ring has 4 variables"),
+    ((1, 0, 0, 0, 0), ArityError, "has length 5, ring has 4 variables"),
+    ((1, -1, 0, 0), ValueError, "exponents must be natural numbers"),
+    ((1, 0.5, 0, 0), ValueError, "exponents must be natural numbers"),
+], ids=["short", "long", "negative", "non-integer"])
+def test_public_constructors_check_every_exponent_tuple(build, exponents, error, message):
+    with pytest.raises(error, match=message):
+        build(exponents)
+
+
+def test_parse_refuses_exponents_outside_the_ring_or_below_zero():
+    for text in ("x1^-1", "x1^2*x5", "x1 + x0^2", "x1^1.5"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, P3_VARS)
+    assert parse_polynomial("x1^2*x4", P3_VARS).items() == (((2, 0, 0, 1), 1),)
+
+
+def test_unchecked_results_equal_the_naive_oracle():
+    # +, *, substitute_all and exact_divide build their terms without the
+    # constructor's checks; each must still give exactly the oracle's terms
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ring, target = ("a", "b", "c"), ("u", "v")
+    coefficient = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=6))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(ring)), coefficient, max_size=4)
+    image = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(target)), coefficient, max_size=3)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(terms, terms, st.lists(image, min_size=3, max_size=3))
+    def check(f, g, images):
+        p, q = Polynomial(ring, f), Polynomial(ring, g)
+        assert list((p + q).items()) == canonical_items(naive_add(f, g))
+        assert list((p * q).items()) == canonical_items(naive_mul(f, g))
+        pulled = substitute_all((p, q), {v: Polynomial(target, i) for v, i in zip(ring, images)})
+        for source, result in zip((f, g), pulled):
+            expected = naive_substitute(source, images, len(target))
+            assert list(result.items()) == canonical_items(expected)
+        if q:
+            assert list((p * q).exact_divide(q).items()) == canonical_items(naive_add(f, {}))
+
+    check()
 
 
 def test_ring_mismatch_is_an_arity_error():
