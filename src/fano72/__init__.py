@@ -17,7 +17,8 @@ from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
                      build_sextic_system, compare_spans,
                      coordinate_plane_residual, factor_out, is_scalar_multiple,
                      multiplicity_along_line, random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, solve_sextic_constraints)
+                     restrict_to_pencil_plane, solve_constraints,
+                     solve_sextic_constraints)
 from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
                    SubstitutionError, generators, monomial_text,
                    parse_polynomial, substitute_all)

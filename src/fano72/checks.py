@@ -15,14 +15,13 @@ from time import perf_counter
 from typing import Callable
 
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
-from .grading import hilbert_count, is_homogeneous
+from .grading import enumerate_monomials, hilbert_count, is_homogeneous
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
                      X3, X4, build_degree12_system, build_sextic_system,
                      compare_spans, coordinate_plane_residual, factor_out,
                      is_scalar_multiple, multiplicity_along_line,
                      random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, sextic_constraint_monomials,
-                     solve_sextic_constraints)
+                     restrict_to_pencil_plane, solve_sextic_constraints)
 from .poly import ParseError, Polynomial
 from .ratmap import pullback_system, weighted_parametrization
 from .wps import WeightedProjectiveSpace
@@ -241,11 +240,13 @@ def sprime_records(pencil: PencilCubic, system: LinearSystem | None = None) -> l
         system = build_sextic_system(pencil)
     solved = solve_sextic_constraints(pencil)
     # The elimination yields one solution per non-pivot column, so the
-    # constraint rank is the column count minus the solution count.
+    # constraint rank is the column count minus the solution count.  The
+    # columns are the sextic monomials of (x1, x2)-degree at least 5.
+    columns = sum(e[0] + e[1] >= 5 for e in enumerate_monomials((1, 1, 1, 1), 6))
     _run(records, "system-s.sprime.rank", "rank of the incidence-constraint matrix",
          "the 8 incidence conditions (one per coordinate plane, two per pencil "
          "root) are linearly independent",
-         8, lambda: len(sextic_constraint_monomials()) - len(solved.generators))
+         8, lambda: columns - len(solved.generators))
     _run(records, "system-s.sprime.dim", "solution dimension of the incidence constraints",
          "the constraint-cut space of sextics has vector dimension 11 "
          "(projective dimension 10)",

@@ -25,12 +25,14 @@ IntRow = dict[Hashable, int]
 
 
 def _primitive(row: IntRow) -> IntRow:
+    """The row divided by its content, signed so the entry at the smallest column
+    is positive; the row itself when it is primitive already."""
     if not row:
         return row
     content = reduce(gcd, row.values())
     if row[min(row)] < 0:
         content = -content
-    return {c: v // content for c, v in row.items()}
+    return row if content == 1 else {c: v // content for c, v in row.items()}
 
 
 def _eliminate(row: IntRow, pivot: IntRow, column: Hashable) -> IntRow:
@@ -48,9 +50,11 @@ def _to_int_row(row: Mapping[Hashable, Fraction | int] | Sequence[Fraction | int
     """The primitive integer multiple of a rational row: the one normaliser of rows."""
     if not isinstance(row, Mapping):
         row = dict(enumerate(row))
-    entries = {c: v for c, v in row.items() if v}
-    scale = reduce(lcm, (v.denominator for v in entries.values()), 1)
-    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in entries.items()})
+    entries = {c: v for c, v in row.items() if v}     # a new dict: the caller's row stays as it is
+    if any(type(v) is not int for v in entries.values()):
+        scale = reduce(lcm, (v.denominator for v in entries.values()), 1)
+        entries = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
+    return _primitive(entries)
 
 
 class RowSpace:

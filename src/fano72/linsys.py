@@ -7,9 +7,13 @@ by a binary cubic xi(x1, x2), and the distinguished point [0, 0, 0, 1].
 
 Two systems are constructed over a pencil cubic: an 11-generator sextic
 system (surfaces of degree 6 with multiplicity 5 along r) and a
-39-generator degree-12 system (multiplicity 9 along r).  A third route
-recovers the sextic system purely from its incidence constraints, which
-gives an independent certification of its dimension.
+39-generator degree-12 system (multiplicity 9 along r).  Both come from one
+loop over the (x3, x4)-exponent blocks (c, d), block (c, d) being
+x3^c*x4^d*xi^(c+d)*(x1*x2)^d times the binary forms of degree D - 4c - 6d.
+The same blocks, written as incidence conditions (contact with the two
+coordinate planes and the three pencil planes), give a second route at
+either degree: ``solve_constraints`` recovers each system from its
+conditions alone, which certifies its dimension independently.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .grading import ANY_DEGREE, enumerate_monomials, is_homogeneous
 from .linalg import RowSpace, _to_int_row, nullspace_basis
-from .poly import (ArityError, ExactDivisionError, Exponents, Polynomial,
-                   generators, parse_polynomial)
+from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
+                   Polynomial, generators, parse_polynomial)
 
 P3_VARS = ("x1", "x2", "x3", "x4")
 PENCIL_VARS = ("t", "x1", "x3", "x4")
@@ -198,7 +202,7 @@ class LinearSystem:
         return (f"LinearSystem(degree={self.degree}, "
                 f"generators={len(self.generators)}, ring={self.ring})")
 
-    def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Fraction]:
+    def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Coefficient]:
         return dict(f.items())
 
     def row_space(self) -> RowSpace:
@@ -279,7 +283,7 @@ def multiplicity_along_line(f: Polynomial) -> int:
     return min(a + b for (a, b, _, _), _ in items)
 
 
-def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Fraction], ...]:
+def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Coefficient], ...]:
     if f.ring != P3_VARS:
         raise ArityError(f"expected a polynomial in the ring {P3_VARS}, got {f.ring}")
     return f.items()
@@ -348,10 +352,25 @@ def is_scalar_multiple(f: Polynomial, exponents: Exponents) -> bool:
 
 # -- the two systems and the constraint route ----------------------------
 
-def _binary_monomials(degree: int) -> list[Polynomial]:
-    """Monomials of the given degree in x1, x2 only, canonical order."""
-    return [Polynomial.monomial(P3_VARS, (i, degree - i, 0, 0))
-            for i in range(degree, -1, -1)]
+def _block_system(pencil: PencilCubic, degree: int) -> LinearSystem:
+    """The degree-D system, block by block over the (c, d) with 4c + 6d <= D.
+
+    Block (c, d) is x3^c*x4^d*xi^(c+d)*(x1*x2)^d times each binary monomial
+    of degree D - 4c - 6d, x1-power descending: the pullback of those
+    y3^c*y4^d monomials of P(1,1,4,6) along (x1, x2, x3*xi, x1*x2*x4*xi).
+    The blocks run d descending, then c descending.
+    """
+    xi_powers = [Polynomial.constant(P3_VARS, 1)]
+    for _ in range(degree // 4):
+        xi_powers.append(xi_powers[-1] * pencil.cubic)
+    gens = []
+    for d in range(degree // 6, -1, -1):
+        for c in range((degree - 6 * d) // 4, -1, -1):
+            head = xi_powers[c + d] * X3 ** c * (X1 * X2 * X4) ** d
+            n = degree - 4 * c - 6 * d
+            gens += [head * Polynomial.monomial(P3_VARS, (a, n - a, 0, 0))
+                     for a in range(n, -1, -1)]
+    return LinearSystem(P3_VARS, degree, gens)
 
 
 def build_sextic_system(pencil: PencilCubic) -> LinearSystem:
@@ -360,94 +379,66 @@ def build_sextic_system(pencil: PencilCubic) -> LinearSystem:
     Generators: x1*x2*x4*xi; x3*xi times each quadratic in (x1, x2); and
     every sextic monomial in (x1, x2).
     """
-    xi = pencil.cubic
-    gens = [X1 * X2 * X4 * xi]
-    gens += [X3 * xi * m for m in _binary_monomials(2)]
-    gens += _binary_monomials(6)
-    return LinearSystem(P3_VARS, 6, gens)
+    return _block_system(pencil, 6)
 
 
 def build_degree12_system(pencil: PencilCubic) -> LinearSystem:
     """The 39-generator system of degree-12 surfaces of multiplicity 9 along the line.
 
-    Generator shapes (counts 1 + 3 + 7 + 1 + 5 + 9 + 13):
+    Its seven blocks (counts 1 + 3 + 7 + 1 + 5 + 9 + 13) are
     (x1*x2*x4*xi)^2; x1*x2*x4*x3*xi^2 times quadratics; x1*x2*x4*xi times
     sextics; x3^3*xi^3; x3^2*xi^2 times quartics; x3*xi times octics; and
-    every degree-12 monomial in (x1, x2).
-
-    Each shape is the pullback of one anticanonical monomial of P(1,1,4,6)
-    along (x1, x2, x3*xi, x1*x2*x4*xi), so in primitive integer form the 39
-    generators are the same set as the 39 pulled-back monomials (checked for
-    the roots (1,2,3), (1,5,7), (-3,1/2,11) and (-9973/7,13/9999,5000/3)).
+    every degree-12 monomial in (x1, x2).  Each generator is the pullback of
+    one anticanonical monomial of P(1,1,4,6), so the set is the pulled-back basis.
     """
-    xi = pencil.cubic
-    base = X1 * X2 * X4 * xi
-    x3xi = X3 * xi
-    gens = [base * base]
-    gens += [base * x3xi * m for m in _binary_monomials(2)]
-    gens += [base * m for m in _binary_monomials(6)]
-    gens += [x3xi ** 3]
-    gens += [x3xi ** 2 * m for m in _binary_monomials(4)]
-    gens += [x3xi * m for m in _binary_monomials(8)]
-    gens += _binary_monomials(12)
-    return LinearSystem(P3_VARS, 12, gens)
+    return _block_system(pencil, 12)
 
 
-def sextic_constraint_monomials() -> list[Exponents]:
-    """The 19 sextic monomials with (x1, x2)-degree at least 5, canonical order."""
-    return [e for e in enumerate_monomials((1, 1, 1, 1), 6) if e[0] + e[1] >= 5]
+def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], list[list[int]]]:
+    """Linear conditions cutting the degree-D system out of the forms near the line.
+
+    The columns are the degree-D monomials whose (x3, x4)-degree j = c + d is
+    at most D // 4.  The conditions say xi^j*(x1*x2)^d divides the x3^c*x4^d
+    coefficient sum_b a_b*x1^(n-b)*x2^b, n = D - j: first 2d unit rows (its
+    d end coefficients at each side vanish, contact with the planes x1 = 0
+    and x2 = 0), then, root by root, for each root tau = p/q and k < j the
+    row sum_b C(b, k)*tau^(b-k)*a_b = 0 (contact of order j with the plane
+    x2 = tau*x1) times q^(n-k), whose entries C(b, k)*p^(b-k)*q^(n-b) are
+    integers.  At degree 6: 8 rows over 19 monomials.
+    """
+    monomials = [e for e in enumerate_monomials((1, 1, 1, 1), degree) if e[2] + e[3] <= degree // 4]
+    blocks = [(c, j - c, degree - j) for j in range(1, degree // 4 + 1) for c in range(j, -1, -1)]
+    units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
+    contacts = [{(n - b, b, c, d): comb(b, k) * p ** (b - k) * q ** (n - b)
+                 for b in range(k, n + 1)}
+                for p, q in (tau.as_integer_ratio() for tau in pencil.roots)
+                for c, d, n in blocks for k in range(c + d)]
+    return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
 
 def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[list[int]]]:
-    """Linear conditions cutting the sextic system out of the multiplicity-5 space.
-
-    Over the 19 monomials of (x1, x2)-degree >= 5 the conditions are:
-    one per coordinate plane (the plane section's residual line must avoid
-    x4, i.e. the x2^5*x4 resp. x1^5*x4 coefficient vanishes) and two per
-    pencil root (the section by x2 = tau*x1 must collapse to the line,
-    i.e. the x1^5*x3 and x1^5*x4 coefficients of the restriction vanish).
-    For tau = p/q in lowest terms a root row holds p^b * q^(5-b) where that
-    restriction has tau^b: the same condition times q^5, in integers.
-    """
-    monomials = sextic_constraint_monomials()
-    index = {e: i for i, e in enumerate(monomials)}
-    width = len(monomials)
-
-    rows = []
-    alpha1 = [0] * width
-    alpha1[index[(0, 5, 0, 1)]] = 1
-    rows.append(alpha1)
-    alpha2 = [0] * width
-    alpha2[index[(5, 0, 0, 1)]] = 1
-    rows.append(alpha2)
-    for tau in pencil.roots:
-        p, q = tau.numerator, tau.denominator
-        x3_row, x4_row = [0] * width, [0] * width
-        for b in range(6):
-            entry = p ** b * q ** (5 - b)
-            x3_row[index[(5 - b, b, 1, 0)]] = entry
-            x4_row[index[(5 - b, b, 0, 1)]] = entry
-        rows.append(x3_row)
-        rows.append(x4_row)
-    return monomials, rows
+    """The degree-6 conditions: 8 rows over the 19 monomials of (x1, x2)-degree >= 5."""
+    return constraint_rows(pencil, 6)
 
 
-def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:
-    """Solve the incidence constraints exactly and return the cut-out system.
-
-    This is the independent route to the sextic system: no generator shapes
-    are assumed, only the vanishing conditions.  The two routes must agree.
-    """
-    monomials, rows = sextic_constraint_rows(pencil)
+def solve_constraints(pencil: PencilCubic, degree: int) -> LinearSystem:
+    """The degree-D system found from its incidence conditions alone, by exact
+    elimination: no generator shape is assumed, so it must agree independently."""
+    monomials, rows = constraint_rows(pencil, degree)
     basis = nullspace_basis(rows, len(monomials))
     gens = [Polynomial(P3_VARS, {m: c for m, c in zip(monomials, vector) if c})
             for vector in basis]
-    return LinearSystem(P3_VARS, 6, gens)
+    return LinearSystem(P3_VARS, degree, gens)
+
+
+def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:
+    """The sextic system, found from its incidence conditions alone."""
+    return solve_constraints(pencil, 6)
 
 
 def random_member(system: LinearSystem, rng) -> Polynomial:
     """A pseudo-random rational combination of the generators, all coefficients nonzero."""
-    terms: list[tuple[Exponents, Fraction]] = []
+    terms: list[tuple[Exponents, Coefficient]] = []
     for g in system.generators:
         coefficient = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
         terms.extend((coefficient * g).items())

@@ -186,6 +186,38 @@ def primitive_form(p: Polynomial) -> Polynomial:
     return Polynomial(p.ring, {e: c // content for e, c in integers.items()})
 
 
+# -- the two systems as hand-written generator shapes -----------------------
+#
+# The lists the library once wrote out by hand, kept to pin the order and the
+# content of the block loop that replaced them.
+
+def _binary_monomials(degree: int) -> list[Polynomial]:
+    """Monomials of the given degree in x1, x2 only, x1-power descending."""
+    return [Polynomial.monomial(P3_VARS, (i, degree - i, 0, 0)) for i in range(degree, -1, -1)]
+
+
+def sextic_shapes(pencil) -> list[Polynomial]:
+    """x1*x2*x4*xi; x3*xi times each quadratic; every binary sextic."""
+    x1, x2, x3, x4 = (Polynomial.variable(P3_VARS, name) for name in P3_VARS)
+    xi = pencil.cubic
+    return ([x1 * x2 * x4 * xi] + [x3 * xi * m for m in _binary_monomials(2)]
+            + _binary_monomials(6))
+
+
+def degree12_shapes(pencil) -> list[Polynomial]:
+    """The seven shapes of sizes 1 + 3 + 7 + 1 + 5 + 9 + 13."""
+    x1, x2, x3, x4 = (Polynomial.variable(P3_VARS, name) for name in P3_VARS)
+    xi = pencil.cubic
+    base, x3xi = x1 * x2 * x4 * xi, x3 * xi
+    return ([base * base]
+            + [base * x3xi * m for m in _binary_monomials(2)]
+            + [base * m for m in _binary_monomials(6)]
+            + [x3xi ** 3]
+            + [x3xi ** 2 * m for m in _binary_monomials(4)]
+            + [x3xi * m for m in _binary_monomials(8)]
+            + _binary_monomials(12))
+
+
 # -- graded-piece oracles ---------------------------------------------------
 
 def brute_force_monomials(weights, degree: int) -> set[tuple[int, ...]]:

@@ -93,9 +93,9 @@ def test_run_all_builds_each_system_once(monkeypatch):
     calls = {"sextic": 0, "degree12": 0, "constraints": 0}
 
     def counted(name, build):
-        def wrapper(pencil):
+        def wrapper(pencil, *degree):
             calls[name] += 1
-            return build(pencil)
+            return build(pencil, *degree)
         return wrapper
 
     monkeypatch.setattr(checks, "build_sextic_system",
@@ -103,10 +103,10 @@ def test_run_all_builds_each_system_once(monkeypatch):
     monkeypatch.setattr(checks, "build_degree12_system",
                         counted("degree12", checks.build_degree12_system))
     # Counted wherever the suites could reach it, so a second elimination in
-    # checks would show up as well as one inside solve_sextic_constraints.
-    rows = counted("constraints", linsys.sextic_constraint_rows)
+    # checks would show up as well as one inside solve_constraints.
+    rows = counted("constraints", linsys.constraint_rows)
     for module in (linsys, checks):
-        monkeypatch.setattr(module, "sextic_constraint_rows", rows, raising=False)
+        monkeypatch.setattr(module, "constraint_rows", rows, raising=False)
     for suite, expected in (("all", {"sextic": 1, "degree12": 1, "constraints": 1}),
                             ("sprime", {"sextic": 1, "degree12": 0, "constraints": 1})):
         calls.update(dict.fromkeys(calls, 0))

@@ -48,6 +48,37 @@ def test_rank_matches_dense_elimination_oracle():
         assert RowSpace(rows).rank == rref_rank(rows)
 
 
+def test_int_fraction_and_non_primitive_rows_match_the_dense_oracle():
+    # Each row is one of: primitive int, int with content > 1 or a negative
+    # lead, or Fraction; as a list or as a mapping.  The normaliser must give
+    # the oracle's rank and never hand back or change the caller's own row.
+    rng = random.Random(43)
+    for _ in range(150):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(3)
+            ints = [rng.randint(-4, 4) for _ in range(ncols)]
+            if kind == 1:
+                ints = [rng.choice((-6, -2, 3)) * v for v in ints]
+            row = ints if kind < 2 else [Fraction(v, rng.randint(1, 3)) for v in ints]
+            rows.append(dict(enumerate(row)) if rng.random() < 0.5 else row)
+        copies = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+        space = RowSpace()
+        for row in rows:
+            residual = space.reduce(row)
+            assert residual is not row
+            space.insert(row)
+        assert rows == copies
+        dense = [[r.get(c, 0) for c in range(ncols)] if isinstance(r, dict) else r for r in rows]
+        assert space.rank == rref_rank(dense)
+        for row in rows:
+            if isinstance(row, dict):
+                row.clear()
+        assert all(space.contains(r) for r in copies)
+        assert space.rank == rref_rank(dense)
+
+
 def test_exponent_tuple_columns_match_the_dense_oracle():
     # Rows keyed by the exponent tuples of one graded piece, as LinearSystem
     # builds them, against rref_rank over the same rows laid out densely.

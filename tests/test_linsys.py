@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,21 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     LinearSystem, Polynomial, build_degree12_system, build_sextic_system,
                     compare_spans, coordinate_plane_residual,
                     enumerate_monomials, factor_out, generators, is_homogeneous, is_scalar_multiple,
-                    multiplicity_along_line, random_member, restrict_to_pencil,
-                    restrict_to_pencil_plane, solve_sextic_constraints, VerifyConfig)
+                    multiplicity_along_line, pullback_system, random_member,
+                    restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
+                    VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
 from fano72 import linsys
 from fano72.cli import main
-from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic,
-                           sextic_constraint_rows)
+from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, constraint_rows,
+                           sextic_constraint_rows, solve_constraints)
 
-from oracles import rref_rank, valuation_failures
+from oracles import degree12_shapes, primitive_form, rref_rank, sextic_shapes, valuation_failures
 
 X1, X2, X3, X4 = generators(P3_VARS)
 DEFAULT = PencilCubic.default()
+FOUR_ROOTS = [(1, 2, 3), (1, 5, 7), (-3, Fraction(1, 2), 11),
+              (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))]
+FOUR_IDS = ["default", "roots157", "fractional", "tall"]
 
 
 # -- the pencil cubic -------------------------------------------------------
@@ -475,3 +480,58 @@ def test_degree12_membership_against_rank_oracle():
     assert rref_rank(rows + [extra]) == 40
     inside = [((X3 * DEFAULT.cubic) ** 3).coefficient(e) for e in columns]
     assert rref_rank(rows + [inside]) == 39
+
+
+@pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
+def test_builders_return_the_hand_written_shapes_in_order(roots):
+    pencil = PencilCubic.from_roots(roots)
+    assert build_sextic_system(pencil).generators == \
+        tuple(primitive_form(g) for g in sextic_shapes(pencil))
+    assert build_degree12_system(pencil).generators == \
+        tuple(primitive_form(g) for g in degree12_shapes(pencil))
+
+
+# -- the constraint route at degree 12 ---------------------------------------------
+
+def test_degree12_constraint_matrix_shape_and_rank():
+    monomials, rows = constraint_rows(DEFAULT, 12)
+    assert len(monomials) == 110
+    assert all(e[0] + e[1] >= 9 for e in monomials)
+    assert len(rows) == 80
+    # the dense elimination oracle: 110 - 71 = 39 solutions
+    assert rref_rank(rows) == 71
+
+
+@pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
+def test_degree12_conditions_cut_out_the_system_and_the_pullback(roots):
+    pencil = PencilCubic.from_roots(roots)
+    solved = solve_constraints(pencil, 12)
+    assert len(solved.generators) == 39
+    pulled = pullback_system(weighted_parametrization(pencil),
+                             WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis())
+    assert compare_spans(solved, build_degree12_system(pencil)).passed
+    assert compare_spans(solved, pulled).passed
+
+
+@dataclass(frozen=True)
+class RootsOnly:
+    """A stand-in pencil for roots PencilCubic refuses: the roots and their product cubic."""
+    roots: tuple[Fraction, ...]
+    cubic: Polynomial
+
+
+def _stand_in(roots) -> RootsOnly:
+    cubic = Polynomial.constant(P3_VARS, 1)
+    for root in roots:
+        cubic = cubic * (X2 - root * X1)
+    return RootsOnly(tuple(Fraction(r) for r in roots), cubic)
+
+
+@pytest.mark.parametrize("roots, ranks", [((0, 1, 2), (7, 67)), ((1, 1, 2), (6, 58))],
+                         ids=["zero-root", "repeated-root"])
+def test_inadmissible_roots_lose_conditions_and_the_span(roots, ranks):
+    pencil = _stand_in(roots)
+    for degree, build, rank in zip((6, 12), (build_sextic_system, build_degree12_system), ranks):
+        _, rows = constraint_rows(pencil, degree)
+        assert rref_rank(rows) == rank
+        assert not compare_spans(solve_constraints(pencil, degree), build(pencil)).passed
