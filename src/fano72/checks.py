@@ -4,26 +4,31 @@ Records compare exact values (rationals, integers, tuples rendered to
 text); there is no tolerance anywhere.  The ``claim`` field states the
 mathematical fact a record certifies in its own words, or "plumbing" for
 internal consistency checks.
+
+Each system is built once per run, as a pullback; the ``sprime`` and
+``theorem`` records check it against its incidence conditions with
+``linsys.conditions_report``, with no second copy and no nullspace.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from time import perf_counter
 from typing import Callable
 
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
-from .grading import enumerate_monomials, hilbert_count, is_homogeneous
+from .grading import hilbert_count, is_homogeneous
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
                      X3, X4, build_degree12_system, build_sextic_system,
-                     compare_spans, coordinate_plane_residual, factor_out,
+                     conditions_report, coordinate_plane_residual, factor_out,
                      is_scalar_multiple, multiplicity_along_line,
                      random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, solve_sextic_constraints)
-from .poly import ParseError, Polynomial
-from .ratmap import pullback_system, weighted_parametrization
+                     restrict_to_pencil_plane)
+from .poly import ParseError
+from .ratmap import weighted_parametrization
 from .wps import WeightedProjectiveSpace
 
 SUITES = ("wps", "scroll", "system-s", "system-t", "theorem")
@@ -111,13 +116,9 @@ def wps_suite() -> list[CheckRecord]:
          38, lambda: len(p146.anticanonical_basis()) - 1)
 
     def basis_shape() -> str:
-        counts: dict[tuple[int, int], int] = {}
-        for e in p146.anticanonical_basis():
-            key = (e[2], e[3])
-            counts[key] = counts.get(key, 0) + 1
-        blocks = [counts.get(key, 0) for key in
-                  ((0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0))]
-        return "+".join(str(b) for b in blocks)
+        counts = Counter((e[2], e[3]) for e in p146.anticanonical_basis())
+        return "+".join(str(counts[key]) for key in
+                        ((0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)))
 
     _run(records, "wps.basis-shape.1146", "anticanonical basis grouped by (y3, y4) exponents",
          "the anticanonical basis splits into blocks y4^2 | y3*y4*f2 | y4*f6 | "
@@ -171,14 +172,10 @@ def scroll_suite() -> list[CheckRecord]:
 
 # -- suite: the sextic system ----------------------------------------------
 
-def _members_with_random(system: LinearSystem, rng: random.Random) -> list[Polynomial]:
-    return list(system.generators) + [random_member(system, rng)]
-
-
 def sextic_suite(pencil: PencilCubic, rng: random.Random) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     system = build_sextic_system(pencil)
-    members = _members_with_random(system, rng)
+    members = list(system.generators) + [random_member(system, rng)]
     unit = (1, 1, 1, 1)
     _run(records, "system-s.generators", "generator count of the sextic system",
          "the sextic system depends on 11 independent parameters",
@@ -238,23 +235,26 @@ def sprime_records(pencil: PencilCubic, system: LinearSystem | None = None) -> l
     records: list[CheckRecord] = []
     if system is None:
         system = build_sextic_system(pencil)
-    solved = solve_sextic_constraints(pencil)
-    # The elimination yields one solution per non-pivot column, so the
-    # constraint rank is the column count minus the solution count.  The
-    # columns are the sextic monomials of (x1, x2)-degree at least 5.
-    columns = sum(e[0] + e[1] >= 5 for e in enumerate_monomials((1, 1, 1, 1), 6))
+    # One certificate, made inside the first record's _run, serves all three records.
+    report = cache(lambda: conditions_report(pencil, system))
     _run(records, "system-s.sprime.rank", "rank of the incidence-constraint matrix",
          "the 8 incidence conditions (one per coordinate plane, two per pencil "
          "root) are linearly independent",
-         8, lambda: columns - len(solved.generators))
+         8, lambda: report()[0])
     _run(records, "system-s.sprime.dim", "solution dimension of the incidence constraints",
          "the constraint-cut space of sextics has vector dimension 11 "
          "(projective dimension 10)",
-         11, lambda: len(solved.generators))
+         11, lambda: report()[1])
     _run(records, "system-s.sprime.span", "constraint route against generator route",
          "the incidence constraints cut out exactly the sextic system",
-         True, lambda: compare_spans(solved, system).passed)
+         True, lambda: _cut_out(system, report()))
     return records
+
+
+def _cut_out(system: LinearSystem, report: tuple[int, int, LinearSystem]) -> bool:
+    """Whether the conditions behind a ``conditions_report`` cut out exactly the system."""
+    _, dimension, inside = report
+    return len(inside.generators) == len(system.generators) and system.row_space().rank == dimension
 
 
 # -- suite: the degree-12 system --------------------------------------------
@@ -292,42 +292,35 @@ def degree12_suite(pencil: PencilCubic, system: LinearSystem | None = None) -> l
 
 # -- suite: the span identity ------------------------------------------------
 
-def theorem_suite(pencil: PencilCubic, direct: LinearSystem | None = None) -> list[CheckRecord]:
+def theorem_suite(pencil: PencilCubic, pulled: LinearSystem | None = None) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    space = WeightedProjectiveSpace((1, 1, 4, 6))
     eta = weighted_parametrization(pencil)
-    pulled = pullback_system(eta, space.anticanonical_basis())
-    if direct is None:
-        direct = build_degree12_system(pencil)
-    # One comparison, made inside the first record's _run, serves every span record.
-    report = cache(lambda: compare_spans(pulled, direct))
+    if pulled is None:
+        pulled = build_degree12_system(pencil)
+    # One certificate, made inside the first record that needs it, serves every span record.
+    report = cache(lambda: conditions_report(pencil, pulled))
     _run(records, "theorem.grading", "component degrees of the weighted parametrization",
          "the parametrization of P(1,1,4,6) has component degrees (1, 1, 4, 6)",
          "(1, 1, 4, 6)", lambda: str(eta.component_degrees()))
     _run(records, "theorem.rank.pullback", "rank of the pulled-back anticanonical basis",
          "the 39 pulled-back anticanonical monomials are linearly independent",
-         39, lambda: report().rank_a)
+         39, lambda: pulled.row_space().rank)
     _run(records, "theorem.rank.direct", "rank of the degree-12 system",
          "the 39 degree-12 generators are linearly independent",
-         39, lambda: report().rank_b)
-
-    def share_inside(source: LinearSystem, missing: tuple[str, ...]) -> str:
-        total = len(source.generators)
-        return f"{total - len(missing)}/{total}"
-
+         39, lambda: report()[1])
     _run(records, "theorem.containment.forward",
          "pulled-back monomials inside the degree-12 span",
          "every pulled-back anticanonical monomial is a degree-12 member",
-         "39/39", lambda: share_inside(pulled, report().missing_from_b))
+         "39/39", lambda: f"{len(report()[2].generators)}/{len(pulled.generators)}")
     _run(records, "theorem.containment.reverse",
          "degree-12 generators inside the pulled-back span",
          "every degree-12 generator is a pulled-back anticanonical combination",
-         "39/39", lambda: share_inside(direct, report().missing_from_a))
+         "39/39", lambda: f"{report()[2].row_space().rank}/{report()[1]}")
 
     _run(records, "theorem.identity", "span identity between the two systems",
          "composing the parametrization with the anticanonical system of "
          "P(1,1,4,6) yields exactly the degree-12 system",
-         "PASS", lambda: "PASS" if report().passed else "FAIL")
+         "PASS", lambda: "PASS" if _cut_out(pulled, report()) else "FAIL")
     return records
 
 

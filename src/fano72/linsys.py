@@ -5,15 +5,14 @@ r = {x1 = x2 = 0}, the pencil of planes x2 = t*x1 through it, the two
 coordinate planes x1 = 0 and x2 = 0, three further pencil planes cut out
 by a binary cubic xi(x1, x2), and the distinguished point [0, 0, 0, 1].
 
-Two systems are constructed over a pencil cubic: an 11-generator sextic
-system (surfaces of degree 6 with multiplicity 5 along r) and a
-39-generator degree-12 system (multiplicity 9 along r).  Both come from one
-loop over the (x3, x4)-exponent blocks (c, d), block (c, d) being
-x3^c*x4^d*xi^(c+d)*(x1*x2)^d times the binary forms of degree D - 4c - 6d.
-The same blocks, written as incidence conditions (contact with the two
-coordinate planes and the three pencil planes), give a second route at
-either degree: ``solve_constraints`` recovers each system from its
-conditions alone, which certifies its dimension independently.
+An 11-generator sextic system (multiplicity 5 along r) and a 39-generator
+degree-12 system (multiplicity 9 along r) are built over a pencil cubic,
+each as the pullback of the weighted-degree-D monomials of P(1,1,4,6) along
+(x1, x2, x3*xi, x1*x2*x4*xi).  Incidence conditions on the (x3, x4)-exponent
+blocks (c, d) (contact with the two coordinate planes and the three pencil
+planes) describe either system a second way: ``conditions_report``
+certifies by a rank count and an annihilation check that they cut out
+exactly a given system, and ``solve_constraints`` solves them.
 """
 
 from __future__ import annotations
@@ -304,17 +303,13 @@ def restrict_to_pencil(f: Polynomial) -> Polynomial:
 
 def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
     """Divide f exactly by name**power, or raise ExactDivisionError."""
-    i = f.ring.index(name) if name in f.ring else None
-    if i is None:
+    if name not in f.ring:
         raise ArityError(f"variable {name!r} is not in the ring {f.ring}")
-    shifted = {}
-    for exponents, coefficient in f.items():
-        if exponents[i] < power:
-            raise ExactDivisionError(f"{name}^{power} does not divide {f}")
-        e = list(exponents)
-        e[i] -= power
-        shifted[tuple(e)] = coefficient
-    return Polynomial(f.ring, shifted)
+    i = f.ring.index(name)
+    if any(e[i] < power for e in f.monomials()):
+        raise ExactDivisionError(f"{name}^{power} does not divide {f}")
+    return Polynomial._from_valid_terms(f.ring, ((e[:i] + (e[i] - power,) + e[i + 1:], k)
+                                                 for e, k in f.items()))
 
 
 def restrict_to_pencil_plane(f: Polynomial, tau: Fraction | int) -> Polynomial:
@@ -350,70 +345,83 @@ def is_scalar_multiple(f: Polynomial, exponents: Exponents) -> bool:
     return f.is_zero or f.monomials() == (tuple(exponents),)
 
 
-# -- the two systems and the constraint route ----------------------------
-
-def _block_system(pencil: PencilCubic, degree: int) -> LinearSystem:
-    """The degree-D system, block by block over the (c, d) with 4c + 6d <= D.
-
-    Block (c, d) is x3^c*x4^d*xi^(c+d)*(x1*x2)^d times each binary monomial
-    of degree D - 4c - 6d, x1-power descending: the pullback of those
-    y3^c*y4^d monomials of P(1,1,4,6) along (x1, x2, x3*xi, x1*x2*x4*xi).
-    The blocks run d descending, then c descending.
-    """
-    xi_powers = [Polynomial.constant(P3_VARS, 1)]
-    for _ in range(degree // 4):
-        xi_powers.append(xi_powers[-1] * pencil.cubic)
-    gens = []
-    for d in range(degree // 6, -1, -1):
-        for c in range((degree - 6 * d) // 4, -1, -1):
-            head = xi_powers[c + d] * X3 ** c * (X1 * X2 * X4) ** d
-            n = degree - 4 * c - 6 * d
-            gens += [head * Polynomial.monomial(P3_VARS, (a, n - a, 0, 0))
-                     for a in range(n, -1, -1)]
-    return LinearSystem(P3_VARS, degree, gens)
-
+# -- the two systems and their incidence conditions --------------------
 
 def build_sextic_system(pencil: PencilCubic) -> LinearSystem:
-    """The 11-generator system of sextic surfaces singular of order 5 along the line.
-
-    Generators: x1*x2*x4*xi; x3*xi times each quadratic in (x1, x2); and
-    every sextic monomial in (x1, x2).
-    """
-    return _block_system(pencil, 6)
+    """The 11 sextics of multiplicity 5 along the line: the weighted-degree-6 pullback."""
+    from .ratmap import pullback_system, weighted_parametrization    # ratmap imports linsys
+    return pullback_system(weighted_parametrization(pencil), enumerate_monomials((1, 1, 4, 6), 6))
 
 
 def build_degree12_system(pencil: PencilCubic) -> LinearSystem:
-    """The 39-generator system of degree-12 surfaces of multiplicity 9 along the line.
+    """The 39 degree-12 surfaces of multiplicity 9 along the line: the anticanonical pullback."""
+    from .ratmap import pullback_system, weighted_parametrization    # ratmap imports linsys
+    return pullback_system(weighted_parametrization(pencil), enumerate_monomials((1, 1, 4, 6), 12))
 
-    Its seven blocks (counts 1 + 3 + 7 + 1 + 5 + 9 + 13) are
-    (x1*x2*x4*xi)^2; x1*x2*x4*x3*xi^2 times quadratics; x1*x2*x4*xi times
-    sextics; x3^3*xi^3; x3^2*xi^2 times quartics; x3*xi times octics; and
-    every degree-12 monomial in (x1, x2).  Each generator is the pullback of
-    one anticanonical monomial of P(1,1,4,6), so the set is the pulled-back basis.
-    """
-    return _block_system(pencil, 12)
+
+def _blocks(degree: int) -> list[tuple[int, int, int]]:
+    """The (c, d, n) of the x3^c*x4^d blocks with j = c + d <= D // 4, n = D - j, j ascending."""
+    return [(c, j - c, degree - j) for j in range(degree // 4 + 1) for c in range(j, -1, -1)]
+
+
+def _contact_rows(tau: Fraction, c: int, d: int, n: int) -> list[dict[int, int]]:
+    """Block (c, d)'s rows, keyed by b, for (x2 - tau*x1)^(c+d) to divide sum_b a_b*x1^(n-b)*x2^b:
+    sum_b C(b, k)*tau^(b-k)*a_b = 0 for k < c + d, times q^(n-k) for tau = p/q, so in integers."""
+    p, q = tau.as_integer_ratio()
+    return [{b: comb(b, k) * p ** (b - k) * q ** (n - b) for b in range(k, n + 1)}
+            for k in range(c + d)]
 
 
 def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], list[list[int]]]:
     """Linear conditions cutting the degree-D system out of the forms near the line.
 
-    The columns are the degree-D monomials whose (x3, x4)-degree j = c + d is
-    at most D // 4.  The conditions say xi^j*(x1*x2)^d divides the x3^c*x4^d
-    coefficient sum_b a_b*x1^(n-b)*x2^b, n = D - j: first 2d unit rows (its
-    d end coefficients at each side vanish, contact with the planes x1 = 0
-    and x2 = 0), then, root by root, for each root tau = p/q and k < j the
-    row sum_b C(b, k)*tau^(b-k)*a_b = 0 (contact of order j with the plane
-    x2 = tau*x1) times q^(n-k), whose entries C(b, k)*p^(b-k)*q^(n-b) are
-    integers.  At degree 6: 8 rows over 19 monomials.
+    The columns are the blocks' monomials x1^(n-b)*x2^b*x3^c*x4^d, graded-lex
+    descending.  The rows say xi^(c+d)*(x1*x2)^d divides each block's form:
+    2d unit rows per block (its d end coefficients at each side vanish), then
+    root by root the contact rows of every block.  At degree 6: 8 rows over 19.
     """
-    monomials = [e for e in enumerate_monomials((1, 1, 1, 1), degree) if e[2] + e[3] <= degree // 4]
-    blocks = [(c, j - c, degree - j) for j in range(1, degree // 4 + 1) for c in range(j, -1, -1)]
+    blocks = _blocks(degree)
+    monomials = sorted(((n - b, b, c, d) for c, d, n in blocks for b in range(n + 1)), reverse=True)
     units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
-    contacts = [{(n - b, b, c, d): comb(b, k) * p ** (b - k) * q ** (n - b)
-                 for b in range(k, n + 1)}
-                for p, q in (tau.as_integer_ratio() for tau in pencil.roots)
-                for c, d, n in blocks for k in range(c + d)]
+    contacts = [{(n - b, b, c, d): v for b, v in row.items()}
+                for tau in pencil.roots for c, d, n in blocks for row in _contact_rows(tau, c, d, n)]
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
+
+
+def conditions_report(pencil: PencilCubic, system: LinearSystem) -> tuple[int, int, LinearSystem]:
+    """Whether the conditions of ``constraint_rows`` cut out a system: (rank, dimension, inside).
+
+    Block (c, d)'s 2d unit rows are the only rows on its end columns, so the
+    rank sums 2d and the rank of its contact rows on the inner columns
+    d <= b <= n - d; the dimension is the column count minus the rank.
+    ``inside`` holds the generators whose blocks lie on inner columns and are
+    annihilated by their contact rows (the system itself when all do).  The
+    conditions cut out the system iff all are inside and its rank is the dimension.
+    """
+    rank = columns = 0
+    contacts = {}
+    for c, d, n in _blocks(system.degree):
+        rows = [row for tau in pencil.roots for row in _contact_rows(tau, c, d, n)]
+        inner = range(d, n - d + 1)
+        rank += 2 * d + RowSpace({b: row[b] for b in inner if b in row} for row in rows).rank
+        columns += n + 1
+        contacts[c, d] = inner, rows
+
+    def is_inside(g: Polynomial) -> bool:
+        forms: dict[tuple[int, int], dict[int, Coefficient]] = {}
+        for (_, b, c, d), k in _p3_items(g):
+            forms.setdefault((c, d), {})[b] = k
+        for key, form in forms.items():
+            inner, rows = contacts.get(key, ((), ()))       # a block off the columns has none
+            if any(b not in inner for b in form) or any(
+                    sum(row.get(b, 0) * k for b, k in form.items()) for row in rows):
+                return False
+        return True
+
+    kept = [g for g in system.generators if is_inside(g)]
+    inside = system if len(kept) == len(system.generators) else \
+        LinearSystem(system.ring, system.degree, kept)
+    return rank, columns - rank, inside
 
 
 def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[list[int]]]:
@@ -425,10 +433,8 @@ def solve_constraints(pencil: PencilCubic, degree: int) -> LinearSystem:
     """The degree-D system found from its incidence conditions alone, by exact
     elimination: no generator shape is assumed, so it must agree independently."""
     monomials, rows = constraint_rows(pencil, degree)
-    basis = nullspace_basis(rows, len(monomials))
-    gens = [Polynomial(P3_VARS, {m: c for m, c in zip(monomials, vector) if c})
-            for vector in basis]
-    return LinearSystem(P3_VARS, degree, gens)
+    return LinearSystem(P3_VARS, degree, (Polynomial(P3_VARS, zip(monomials, vector))
+                                          for vector in nullspace_basis(rows, len(monomials))))
 
 
 def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:

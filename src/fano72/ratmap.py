@@ -1,12 +1,12 @@
 """Graded rational maps into weighted projective space and their pullbacks.
 
 The central map sends [x1, x2, x3, x4] to
-[x1, x2, x3*xi(x1, x2), x1*x2*x4*xi(x1, x2)] in P(1, 1, 4, 6); pulling the
-39 anticanonical monomials back along it must reproduce, as a span, the
-degree-12 system built directly from the pencil cubic.  That span identity,
-compared in ``checks.theorem_suite``, is the computable content of the
-identification of the scroll-cone image with anticanonically embedded
-P(1, 1, 4, 6).
+[x1, x2, x3*xi(x1, x2), x1*x2*x4*xi(x1, x2)] in P(1, 1, 4, 6); the pullback
+of its 39 anticanonical monomials is the degree-12 system of ``linsys``.
+That this span is exactly the one cut out by the degree-12 incidence
+conditions, certified in ``checks.theorem_suite``, is the computable content
+of the identification of the scroll-cone image with anticanonically
+embedded P(1, 1, 4, 6).
 """
 
 from __future__ import annotations

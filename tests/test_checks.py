@@ -11,8 +11,8 @@ import pytest
 
 import fano72
 from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
-                    build_degree12_system, checks, cli, generators, linsys,
-                    run_all)
+                    build_degree12_system, checks, cli, generators, linalg,
+                    linsys, ratmap, run_all)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
 from fano72.cli import MAX_LISTED, main
@@ -81,37 +81,53 @@ def test_theorem_suite_fails_on_a_tampered_degree12_system():
     full = build_degree12_system(pencil)
     tampered = LinearSystem(P3_VARS, 12, [g for g in full.generators if g != X2 ** 12])
     records = {r.check_id: r for r in theorem_suite(pencil, tampered)}
-    assert records["theorem.rank.pullback"].computed == "39"
-    assert records["theorem.rank.direct"].computed == "38"
-    assert records["theorem.containment.forward"].computed == "38/39"
-    assert records["theorem.containment.reverse"].computed == "38/38"
+    assert records["theorem.rank.pullback"].computed == "38"
+    assert records["theorem.rank.direct"].computed == "39"
+    assert records["theorem.containment.forward"].computed == "38/38"
+    assert records["theorem.containment.reverse"].computed == "38/39"
     assert records["theorem.identity"].computed == "FAIL"
     assert records["theorem.identity"].status == "FAIL"
 
 
-def test_run_all_builds_each_system_once(monkeypatch):
-    calls = {"sextic": 0, "degree12": 0, "constraints": 0}
+def test_theorem_suite_fails_on_a_generator_off_the_conditions():
+    # x2^11*x4 lies on an end column of block (0, 1): x1 does not divide its form
+    pencil = resolve_pencil(None)
+    grown = LinearSystem(P3_VARS, 12, build_degree12_system(pencil).generators + (X2 ** 11 * X4,))
+    records = {r.check_id: r for r in theorem_suite(pencil, grown)}
+    assert records["theorem.rank.pullback"].computed == "40"
+    assert records["theorem.rank.direct"].computed == "39"
+    assert records["theorem.containment.forward"].computed == "39/40"
+    assert records["theorem.containment.reverse"].computed == "39/39"
+    assert records["theorem.identity"].computed == "FAIL"
 
-    def counted(name, build):
-        def wrapper(pencil, *degree):
-            calls[name] += 1
-            return build(pencil, *degree)
+
+def test_run_all_builds_each_system_once(monkeypatch):
+    calls = []
+
+    def counted(name, function, degree=lambda args, result: None):
+        def wrapper(*args):
+            result = function(*args)
+            calls.append((name, degree(args, result)))
+            return result
         return wrapper
 
-    monkeypatch.setattr(checks, "build_sextic_system",
-                        counted("sextic", checks.build_sextic_system))
-    monkeypatch.setattr(checks, "build_degree12_system",
-                        counted("degree12", checks.build_degree12_system))
-    # Counted wherever the suites could reach it, so a second elimination in
-    # checks would show up as well as one inside solve_constraints.
-    rows = counted("constraints", linsys.constraint_rows)
-    for module in (linsys, checks):
-        monkeypatch.setattr(module, "constraint_rows", rows, raising=False)
-    for suite, expected in (("all", {"sextic": 1, "degree12": 1, "constraints": 1}),
-                            ("sprime", {"sextic": 1, "degree12": 0, "constraints": 1})):
-        calls.update(dict.fromkeys(calls, 0))
+    # Counted wherever the suites could reach them: the builders import
+    # pullback_system from ratmap when they run.
+    monkeypatch.setattr(ratmap, "pullback_system",
+                        counted("pullback", ratmap.pullback_system, lambda _, system: system.degree))
+    certificate = counted("certificate", linsys.conditions_report, lambda args, _: args[1].degree)
+    for name, wrapper in (("conditions_report", certificate),
+                          ("nullspace_basis", counted("nullspace", linalg.nullspace_basis)),
+                          ("compare_spans", counted("compare", linsys.compare_spans))):
+        for module in (linalg, linsys, checks):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    for suite, expected in (("all", [("certificate", 6), ("certificate", 12),
+                                     ("pullback", 6), ("pullback", 12)]),
+                            ("sprime", [("certificate", 6), ("pullback", 6)])):
+        calls.clear()
         assert all(r.status == "PASS" for r in run_all(VerifyConfig(suite=suite)))
-        assert calls == expected, suite
+        assert sorted(calls) == expected, suite
 
 
 def test_scroll_suite_alone():

@@ -15,8 +15,8 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
 from fano72 import linsys
 from fano72.cli import main
-from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, constraint_rows,
-                           sextic_constraint_rows, solve_constraints)
+from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
+                           constraint_rows, sextic_constraint_rows, solve_constraints)
 
 from oracles import degree12_shapes, primitive_form, rref_rank, sextic_shapes, valuation_failures
 
@@ -386,8 +386,9 @@ def test_sextic_sections_of_pencil_root_planes_are_the_sextuple_line():
 def test_restriction_at_a_root_for_a_single_generator():
     # the x1*x2*x4*xi generator collapses to 0 at a root; a pure binary sextic
     # restricts to a nonzero multiple of x1^6
-    system = build_sextic_system(DEFAULT)
-    collapsed = restrict_to_pencil_plane(system.generators[0], DEFAULT.roots[0])
+    generator = primitive_form(X1 * X2 * X4 * DEFAULT.cubic)
+    assert generator in build_sextic_system(DEFAULT).generators
+    collapsed = restrict_to_pencil_plane(generator, DEFAULT.roots[0])
     assert collapsed.is_zero
     monomial = restrict_to_pencil_plane(X2 ** 6, DEFAULT.roots[0])
     assert monomial == X1 ** 6
@@ -484,11 +485,15 @@ def test_degree12_membership_against_rank_oracle():
 
 @pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
 def test_builders_return_the_hand_written_shapes_in_order(roots):
+    # The builders are pullbacks and list their generators in the order of the
+    # weighted basis, not in the shapes' block order, so the sets are compared.
     pencil = PencilCubic.from_roots(roots)
-    assert build_sextic_system(pencil).generators == \
-        tuple(primitive_form(g) for g in sextic_shapes(pencil))
-    assert build_degree12_system(pencil).generators == \
-        tuple(primitive_form(g) for g in degree12_shapes(pencil))
+    for build, shapes in ((build_sextic_system, sextic_shapes),
+                          (build_degree12_system, degree12_shapes)):
+        generators = build(pencil).generators
+        expected = [primitive_form(g) for g in shapes(pencil)]
+        assert len(generators) == len(expected)
+        assert set(generators) == set(expected)
 
 
 # -- the constraint route at degree 12 ---------------------------------------------
@@ -509,7 +514,7 @@ def test_degree12_conditions_cut_out_the_system_and_the_pullback(roots):
     assert len(solved.generators) == 39
     pulled = pullback_system(weighted_parametrization(pencil),
                              WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis())
-    assert compare_spans(solved, build_degree12_system(pencil)).passed
+    assert compare_spans(solved, LinearSystem(P3_VARS, 12, degree12_shapes(pencil))).passed
     assert compare_spans(solved, pulled).passed
 
 
@@ -535,3 +540,60 @@ def test_inadmissible_roots_lose_conditions_and_the_span(roots, ranks):
         _, rows = constraint_rows(pencil, degree)
         assert rref_rank(rows) == rank
         assert not compare_spans(solve_constraints(pencil, degree), build(pencil)).passed
+
+
+# -- the certificate: rank of the conditions and annihilation -----------------------
+
+@pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
+@pytest.mark.parametrize("degree, build", [(6, build_sextic_system), (12, build_degree12_system)],
+                         ids=["sextic", "degree12"])
+def test_conditions_report_agrees_with_the_dense_rank_and_the_solutions(roots, degree, build):
+    pencil = PencilCubic.from_roots(roots)
+    system = build(pencil)
+    rank, dimension, inside = conditions_report(pencil, system)
+    monomials, rows = constraint_rows(pencil, degree)
+    assert rank == rref_rank(rows)
+    assert dimension == len(monomials) - rank == len(solve_constraints(pencil, degree).generators)
+    assert (rank, dimension) == {6: (8, 11), 12: (71, 39)}[degree]
+    assert inside is system
+    assert system.row_space().rank == dimension
+
+
+@pytest.mark.parametrize("roots, ranks, dimensions", [((0, 1, 2), (7, 67), (12, 43)),
+                                                      ((1, 1, 2), (6, 58), (13, 52))],
+                         ids=["zero-root", "repeated-root"])
+def test_conditions_report_on_inadmissible_roots_fails_the_equality(roots, ranks, dimensions):
+    pencil = _stand_in(roots)
+    for degree, build, rank, dimension in zip((6, 12), (build_sextic_system, build_degree12_system),
+                                              ranks, dimensions):
+        system = build(pencil)
+        report = conditions_report(pencil, system)
+        assert report[:2] == (rank, dimension)
+        assert rank == rref_rank(constraint_rows(pencil, degree)[1])
+        inside = report[2]
+        assert not (inside.generators == system.generators
+                    and system.row_space().rank == dimension)
+
+
+def test_conditions_report_counts_generators_off_the_conditions_as_outside():
+    # x2^5*x4 sits on an end column of block (0, 1); x1^5*x3 lies on inner
+    # columns but does not vanish on the pencil planes; x4^6 is in no block.
+    system = LinearSystem(P3_VARS, 6, [X2 ** 5 * X4, X1 ** 5 * X3, X4 ** 6, X1 ** 6])
+    rank, dimension, inside = conditions_report(DEFAULT, system)
+    assert (rank, dimension) == (8, 11)
+    assert inside.generators == (X1 ** 6,)
+
+
+def test_conditions_report_counts_a_sum_across_blocks_as_inside():
+    xi = DEFAULT.cubic
+    sextic = LinearSystem(P3_VARS, 6, [X1 * X2 * X4 * xi + X3 * xi * X1 * X2])
+    degree12 = LinearSystem(P3_VARS, 12, [(X1 * X2 * X4 * xi) ** 2 - 3 * (X3 * xi) ** 3
+                                          + X3 * xi * X1 ** 8])
+    for system in (sextic, degree12):
+        assert conditions_report(DEFAULT, system)[2] is system
+
+
+def test_conditions_report_rejects_other_rings():
+    system = LinearSystem(PENCIL_VARS, 1, [Polynomial.variable(PENCIL_VARS, "t")])
+    with pytest.raises(ArityError):
+        conditions_report(DEFAULT, system)

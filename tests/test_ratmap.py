@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from fano72 import (ArityError, GradedRationalMap, GradingError, LinearSystem,
-                    Polynomial, WeightedProjectiveSpace, build_degree12_system,
-                    compare_spans, enumerate_monomials, generators,
-                    hilbert_count, is_homogeneous, pullback_system,
+                    Polynomial, WeightedProjectiveSpace, compare_spans,
+                    enumerate_monomials, generators, hilbert_count,
+                    is_homogeneous, pullback_system, solve_constraints,
                     weighted_parametrization)
 from fano72.linsys import P3_VARS, PencilCubic
 from fano72.ratmap import TARGET_VARS
 
-from oracles import pullback_multiplicativity_failures, primitive_form, rand_fraction
+from oracles import (degree12_shapes, pullback_multiplicativity_failures, primitive_form,
+                     rand_fraction)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 Y1, Y2, Y3, Y4 = generators(TARGET_VARS)
@@ -131,8 +132,9 @@ def test_pullback_system_of_a_single_monomial():
 
 
 def test_span_identity_for_the_default_pencil():
+    # the pullback against the solutions of the degree-12 incidence conditions
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
-    report = compare_spans(pullback_system(ETA, basis), build_degree12_system(DEFAULT))
+    report = compare_spans(pullback_system(ETA, basis), solve_constraints(DEFAULT, 12))
     assert report.passed
     assert report.rank_a == 39
     assert report.rank_b == 39
@@ -146,18 +148,19 @@ def test_span_identity_for_other_pencils():
     for roots in ((1, 2, 3), (1, 5, 7), (-3, Fraction(1, 2), 11), (-1, Fraction(2, 3), 4)):
         pencil = PencilCubic.from_roots(roots)
         pulled = pullback_system(weighted_parametrization(pencil), basis)
-        direct = build_degree12_system(pencil)
+        direct = LinearSystem(P3_VARS, 12, degree12_shapes(pencil))    # written by hand
         report = compare_spans(pulled, direct)
         assert report.passed
         assert report.rank_a == report.rank_b == 39
         assert set(pulled.generators) == set(direct.generators)
+        assert compare_spans(pulled, solve_constraints(pencil, 12)).passed
 
 
 def test_tampered_system_fails_with_named_offender():
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
     pulled = pullback_system(ETA, basis)
-    full = build_degree12_system(DEFAULT)
-    tampered = LinearSystem(P3_VARS, 12, full.generators[:-1])
+    full = LinearSystem(P3_VARS, 12, degree12_shapes(DEFAULT))
+    tampered = LinearSystem(P3_VARS, 12, [g for g in full.generators if g != X2 ** 12])
     report = compare_spans(pulled, tampered, "pullback", "tampered")
     assert not report.passed
     assert report.rank_a == 39
