@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import accumulate
 from math import gcd
+from operator import mul
 
 from .poly import ArityError, Exponents, Polynomial, grlex_key
 
@@ -59,7 +60,7 @@ def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | 
     if len(f.ring) != len(weights):
         raise ArityError(
             f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
-    degrees = {sum(e * w for e, w in zip(exponents, weights)) for exponents in f.monomials()}
+    degrees = {sum(map(mul, exponents, weights)) for exponents in f.monomials()}
     if not degrees:
         return ANY_DEGREE
     if len(degrees) == 1:

@@ -165,8 +165,10 @@ class LinearSystem:
 
     Generators are rescaled to primitive integer form (``linalg``'s row
     normaliser: content 1, last term positive), deduplicated, and zero inputs
-    dropped; the span is unchanged by any of this.  Rank data is computed
-    lazily over coefficient vectors keyed by exponent tuple.
+    dropped; the span is unchanged by any of this.  A generator that is
+    primitive already is kept as the same object; only the others are merged
+    anew.  Rank data is computed lazily over coefficient vectors keyed by
+    exponent tuple.
     """
 
     __slots__ = ("ring", "degree", "generators", "_row_space")
@@ -185,7 +187,9 @@ class LinearSystem:
                 continue
             if is_homogeneous(g, unit) != degree:
                 raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
-            primitive = Polynomial._from_valid_terms(ring, _to_int_row(dict(g.items())).items())
+            terms = dict(g.items())
+            row = _to_int_row(terms)
+            primitive = g if row == terms else Polynomial._from_valid_terms(ring, row.items())
             if primitive not in seen:
                 seen.add(primitive)
                 normalized.append(primitive)
@@ -364,12 +368,19 @@ def _blocks(degree: int) -> list[tuple[int, int, int]]:
     return [(c, j - c, degree - j) for j in range(degree // 4 + 1) for c in range(j, -1, -1)]
 
 
-def _contact_rows(tau: Fraction, c: int, d: int, n: int) -> list[dict[int, int]]:
-    """Block (c, d)'s rows, keyed by b, for (x2 - tau*x1)^(c+d) to divide sum_b a_b*x1^(n-b)*x2^b:
-    sum_b C(b, k)*tau^(b-k)*a_b = 0 for k < c + d, times q^(n-k) for tau = p/q, so in integers."""
+def _contact_rows(tau: Fraction, j: int, n: int) -> list[dict[int, int]]:
+    """The rows, keyed by b, for (x2 - tau*x1)^j to divide sum_b a_b*x1^(n-b)*x2^b:
+    sum_b C(b, k)*tau^(b-k)*a_b = 0 for k < j, times q^(n-k) for tau = p/q, so in integers."""
     p, q = tau.as_integer_ratio()
     return [{b: comb(b, k) * p ** (b - k) * q ** (n - b) for b in range(k, n + 1)}
-            for k in range(c + d)]
+            for k in range(j)]
+
+
+def _contact_table(pencil: PencilCubic,
+                   degree: int) -> dict[tuple[Fraction, int], list[dict[int, int]]]:
+    """``_contact_rows`` per root and j = c + d, with n = D - j: blocks of one j share them."""
+    return {(tau, j): _contact_rows(tau, j, degree - j)
+            for tau in pencil.roots for j in range(degree // 4 + 1)}
 
 
 def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], list[list[int]]]:
@@ -383,8 +394,9 @@ def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], 
     blocks = _blocks(degree)
     monomials = sorted(((n - b, b, c, d) for c, d, n in blocks for b in range(n + 1)), reverse=True)
     units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
+    table = _contact_table(pencil, degree)
     contacts = [{(n - b, b, c, d): v for b, v in row.items()}
-                for tau in pencil.roots for c, d, n in blocks for row in _contact_rows(tau, c, d, n)]
+                for tau in pencil.roots for c, d, n in blocks for row in table[tau, c + d]]
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
 
@@ -400,8 +412,9 @@ def conditions_report(pencil: PencilCubic, system: LinearSystem) -> tuple[int, i
     """
     rank = columns = 0
     contacts = {}
+    table = _contact_table(pencil, system.degree)
     for c, d, n in _blocks(system.degree):
-        rows = [row for tau in pencil.roots for row in _contact_rows(tau, c, d, n)]
+        rows = [row for tau in pencil.roots for row in table[tau, c + d]]
         inner = range(d, n - d + 1)
         rank += 2 * d + RowSpace({b: row[b] for b in inner if b in row} for row in rows).rank
         columns += n + 1

@@ -85,8 +85,9 @@ def _merged_terms(terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Expone
             merged[exponents] = total
         else:
             merged.pop(exponents, None)
-    return {e: c if (c := merged[e]).denominator > 1 else c.numerator
-            for e in sorted(merged, key=grlex_key, reverse=True)}
+    order = sorted(merged, reverse=True)            # lex descending, then a stable
+    order.sort(key=sum, reverse=True)               # pass by degree: grlex, in C
+    return {e: c if (c := merged[e]).denominator > 1 else c.numerator for e in order}
 
 
 class Polynomial:
@@ -335,7 +336,13 @@ def substitute_all(polys: Iterable[Polynomial],
     """Replace every variable of each polynomial by its image, fully expanded.
 
     All images share one target ring, the ring of the results; each variable
-    that occurs needs an image.  Each image power is built once per batch.
+    that occurs needs an image.  A single-term image k*m raised to the power e
+    is a shift of the exponents by e*m and a factor k^e, so no product is
+    formed for it.  The powers of the other images (the zero image among
+    them) that a term asks for are multiplied together once per call, from
+    memoised image powers, and memoised by the tuple of (variable, exponent)
+    pairs; each term then shifts and scales that product.  No memo outlives
+    the call.
     """
     if not images:
         raise SubstitutionError("substitution needs at least one image to fix the target ring")
@@ -350,7 +357,9 @@ def substitute_all(polys: Iterable[Polynomial],
                 f"images live in different rings: {target} vs {image.ring}")
     unit = (0,) * len(target)
     one = Polynomial._from_valid_terms(target, ((unit, 1),))
+    single = {name: image.leading_term() for name, image in images.items() if len(image) == 1}
     powers: dict[str, list[Polynomial]] = {}
+    products: dict[tuple[tuple[str, int], ...], Polynomial] = {}
 
     def image_power(name: str, k: int) -> Polynomial:
         cache = powers.setdefault(name, [one])
@@ -362,14 +371,27 @@ def substitute_all(polys: Iterable[Polynomial],
     for p in polys:
         terms: list[tuple[Exponents, Coefficient]] = []
         for exponents, coefficient in p._terms.items():
-            term = Polynomial._from_valid_terms(target, ((unit, coefficient),))
+            shift, key = unit, []
             for name, e in zip(p.ring, exponents):
                 if not e:
                     continue
                 if name not in images:
                     raise SubstitutionError(f"no image for variable {name!r} occurring in {p}")
-                term = term * image_power(name, e)
-            terms.extend(term.items())
+                if name in single:
+                    monomial, factor = single[name]
+                    shift = tuple(s + e * i for s, i in zip(shift, monomial))
+                    coefficient *= factor ** e
+                else:
+                    key.append((name, e))
+            key = tuple(key)
+            product = products.get(key)
+            if product is None:
+                product = one
+                for name, e in key:
+                    product = product * image_power(name, e)
+                products[key] = product
+            terms.extend((tuple(map(add, m, shift)), coefficient * k)
+                         for m, k in product._terms.items())
         results.append(Polynomial._from_valid_terms(target, terms))
     return results
 

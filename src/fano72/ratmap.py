@@ -101,12 +101,19 @@ def weighted_parametrization(pencil: PencilCubic) -> GradedRationalMap:
 
 
 def pullback_system(phi: GradedRationalMap, basis: Sequence[Exponents]) -> LinearSystem:
-    """Pull a one-degree family of target monomials back to a linear system,
-    the whole basis in one :func:`substitute_all` call."""
+    """Pull a one-degree family of target monomials back to a linear system.
+
+    One checked degree test validates the whole basis, so its monomials are
+    built unchecked, and all of them go through one :func:`substitute_all`
+    call: for the components (x1, x2, x3*xi, x1*x2*x4*xi) each monomial's
+    image is a shift of one memoised product (x3*xi)^c * (x1*x2*x4*xi)^d.
+    ``LinearSystem`` keeps each image that is primitive already, as all are for
+    the default cubic, and merges only the rest anew.
+    """
     degree = is_homogeneous(Polynomial(phi.target_ring, {e: 1 for e in basis}),
                             phi.target_weights)
     if degree is None or degree is ANY_DEGREE:
         raise GradingError("basis monomials must be nonempty and share one weighted degree")
-    monomials = [Polynomial.monomial(phi.target_ring, e) for e in basis]
+    monomials = [Polynomial._from_valid_terms(phi.target_ring, ((tuple(e), 1),)) for e in basis]
     images = dict(zip(phi.target_ring, phi.components))
     return LinearSystem(phi.source_ring, degree, substitute_all(monomials, images))

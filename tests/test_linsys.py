@@ -213,6 +213,19 @@ def test_proportional_generators_collapse_to_one_primitive_generator():
     assert LinearSystem(P3_VARS, 1, [X1 - 2 * X2]).generators == (-X1 + 2 * X2,)
 
 
+def test_primitive_generators_are_kept_and_the_others_normalised():
+    primitive = [2 * X2 - X1, X2 ** 2 * X3 + 3 * X1 ** 3]
+    others = [6 * X1 * X2 * X3 + 4 * X4 ** 3,          # content 2
+              X1 ** 3 - X2 ** 3,                        # negative at the smallest column
+              X1 ** 2 * X4 / 6 + X3 ** 3 * Fraction(-3, 4)]    # Fraction coefficients
+    system = LinearSystem(P3_VARS, 3, primitive[1:] + others)
+    assert system.generators[0] is primitive[1]
+    assert LinearSystem(P3_VARS, 1, primitive[:1]).generators[0] is primitive[0]
+    assert system.generators[1:] == (3 * X1 * X2 * X3 + 2 * X4 ** 3, X2 ** 3 - X1 ** 3,
+                                     -2 * X1 ** 2 * X4 + 9 * X3 ** 3)
+    assert all(type(c) is int for g in system.generators for _, c in g.items())
+
+
 def test_proportional_generators_span_a_point():
     system = LinearSystem(P3_VARS, 1, [X1, 2 * X1])
     assert system.projective_dim() == 0
@@ -494,6 +507,25 @@ def test_builders_return_the_hand_written_shapes_in_order(roots):
         expected = [primitive_form(g) for g in shapes(pencil)]
         assert len(generators) == len(expected)
         assert set(generators) == set(expected)
+
+
+def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
+    # Each basis monomial's image is a shift of one memoised product per
+    # (x3, x4)-exponent block, so the products are those of the components,
+    # the image powers and the blocks (16 and 8), not one or more per
+    # generator (126 and 38 when every monomial was multiplied out).
+    calls = []
+    multiply = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for build, bound in ((build_degree12_system, 20), (build_sextic_system, 10)):
+        calls.clear()
+        build(DEFAULT)
+        assert len(calls) <= bound, build.__name__
 
 
 # -- the constraint route at degree 12 ---------------------------------------------

@@ -123,6 +123,26 @@ def test_substitute_all_shares_one_table_against_the_oracle():
     assert substitute_all((), {"a": Polynomial.variable(target, "u")}) == []
 
 
+def test_substitute_all_shifts_shared_products_against_the_oracle():
+    # a and b have single-term images with negative Fraction coefficients, so
+    # they act as shifts; c and d have multi-term images and e the zero image,
+    # and the batch repeats their (variable, exponent) keys across polynomials
+    ring, target = ("a", "b", "c", "d", "e"), ("u", "v", "w")
+    images = [{(1, 0, 2): Fraction(-3, 4)}, {(0, 2, 1): Fraction(-5, 2)},
+              {(1, 0, 0): 2, (0, 1, 0): Fraction(-1, 3)},
+              {(0, 0, 1): Fraction(7, 5), (1, 1, 0): -1, (2, 0, 0): 3}, {}]
+    batch = [{(2, 1, 1, 0, 0): 1, (0, 3, 1, 0, 0): Fraction(-2, 3), (1, 0, 0, 2, 0): 5},
+             {(0, 0, 1, 0, 0): Fraction(9, 7), (3, 0, 1, 0, 0): -4, (0, 1, 0, 2, 0): 1},
+             {(1, 1, 1, 2, 0): 2, (0, 0, 1, 2, 0): -1, (2, 0, 0, 0, 0): Fraction(1, 6)},
+             {(1, 0, 0, 0, 1): 3, (0, 0, 1, 2, 0): 1},
+             {(0, 0, 0, 0, 2): 8}]
+    pulled = substitute_all([Polynomial(ring, f) for f in batch],
+                            {v: Polynomial(target, i) for v, i in zip(ring, images)})
+    for f, result in zip(batch, pulled):
+        assert list(result.items()) == canonical_items(naive_substitute(f, images, len(target)))
+    assert pulled[-1].is_zero and not pulled[3].is_zero
+
+
 def test_substitute_identity_map():
     rng = random.Random(7)
     for _ in range(25):
