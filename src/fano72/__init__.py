@@ -13,12 +13,11 @@ from .grading import (ANY_DEGREE, check_weights, enumerate_monomials,
                       hilbert_count, is_homogeneous)
 from .linalg import RowSpace, nullspace_basis
 from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
-                     PencilCubic, SpanIdentityReport, build_degree12_system,
-                     build_sextic_system, compare_spans,
-                     coordinate_plane_residual, factor_out, is_scalar_multiple,
-                     multiplicity_along_line, random_member, restrict_to_pencil,
-                     restrict_to_pencil_plane, solve_constraints,
-                     solve_sextic_constraints)
+                     PencilCubic, build_degree12_system, build_sextic_system,
+                     conditions_report, coordinate_plane_residual, factor_out,
+                     is_scalar_multiple, multiplicity_along_line, random_member,
+                     restrict_to_pencil, restrict_to_pencil_plane,
+                     solve_constraints, solve_sextic_constraints)
 from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
                    SubstitutionError, generators, monomial_text,
                    parse_polynomial, substitute_all)

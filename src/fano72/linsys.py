@@ -10,9 +10,10 @@ degree-12 system (multiplicity 9 along r) are built over a pencil cubic,
 each as the pullback of the weighted-degree-D monomials of P(1,1,4,6) along
 (x1, x2, x3*xi, x1*x2*x4*xi).  Incidence conditions on the (x3, x4)-exponent
 blocks (c, d) (contact with the two coordinate planes and the three pencil
-planes) describe either system a second way: ``conditions_report``
-certifies by a rank count and an annihilation check that they cut out
-exactly a given system, and ``solve_constraints`` solves them.
+planes) describe either system a second way.  ``conditions_report`` is the
+one span comparison: it decides, by a rank count and an annihilation
+check, whether they cut out exactly a given system.  ``solve_constraints``
+solves them.
 """
 
 from __future__ import annotations
@@ -233,45 +234,6 @@ class LinearSystem:
         return self.row_space().contains(self.coefficient_vector(f))
 
 
-@dataclass(frozen=True)
-class SpanIdentityReport:
-    """Outcome of comparing two linear systems as subspaces of one graded piece."""
-
-    label_a: str
-    label_b: str
-    rank_a: int
-    rank_b: int
-    missing_from_b: tuple[str, ...]
-    missing_from_a: tuple[str, ...]
-    passed: bool
-
-    def summary(self) -> str:
-        if self.passed:
-            return (f"PASS: span({self.label_a}) = span({self.label_b}), "
-                    f"rank {self.rank_a} = {self.rank_b}")
-        lines = [f"FAIL: rank {self.rank_a} vs {self.rank_b}"]
-        for g in self.missing_from_b:
-            lines.append(f"  {self.label_a} generator not in span({self.label_b}): {g}")
-        for g in self.missing_from_a:
-            lines.append(f"  {self.label_b} generator not in span({self.label_a}): {g}")
-        return "\n".join(lines)
-
-
-def compare_spans(a: LinearSystem, b: LinearSystem,
-                  label_a: str = "left", label_b: str = "right") -> SpanIdentityReport:
-    """Mutual-membership and rank comparison of two systems, with offenders named."""
-    if a.ring != b.ring or a.degree != b.degree:
-        raise ArityError("compare_spans requires systems in one graded piece")
-    space_a, space_b = a.row_space(), b.row_space()
-    missing_from_b = tuple(str(g) for g in a.generators
-                           if not space_b.contains(a.coefficient_vector(g)))
-    missing_from_a = tuple(str(g) for g in b.generators
-                           if not space_a.contains(b.coefficient_vector(g)))
-    passed = space_a.rank == space_b.rank and not missing_from_b and not missing_from_a
-    return SpanIdentityReport(label_a, label_b, space_a.rank, space_b.rank,
-                              missing_from_b, missing_from_a, passed)
-
-
 # -- pointwise geometry helpers ------------------------------------------
 
 def multiplicity_along_line(f: Polynomial) -> int:
@@ -338,7 +300,8 @@ def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
         raise ValueError("the coordinate planes of the pencil are x1 = 0 and x2 = 0")
     other = "x2" if plane == "x1" else "x1"
     i = P3_VARS.index(plane)
-    restricted = Polynomial(P3_VARS, ((e, k) for e, k in _p3_items(f) if not e[i]))
+    restricted = Polynomial._from_valid_terms(P3_VARS, ((e, k) for e, k in _p3_items(f)
+                                                        if not e[i]))
     if restricted.is_zero:
         return restricted
     return factor_out(restricted, other, 5)
@@ -400,15 +363,18 @@ def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], 
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
 
-def conditions_report(pencil: PencilCubic, system: LinearSystem) -> tuple[int, int, LinearSystem]:
-    """Whether the conditions of ``constraint_rows`` cut out a system: (rank, dimension, inside).
+def conditions_report(pencil: PencilCubic,
+                      system: LinearSystem) -> tuple[int, int, LinearSystem, bool]:
+    """Whether the conditions of ``constraint_rows`` cut out a system:
+    (rank, dimension, inside, cut_out).
 
     Block (c, d)'s 2d unit rows are the only rows on its end columns, so the
     rank sums 2d and the rank of its contact rows on the inner columns
     d <= b <= n - d; the dimension is the column count minus the rank.
     ``inside`` holds the generators whose blocks lie on inner columns and are
     annihilated by their contact rows (the system itself when all do).  The
-    conditions cut out the system iff all are inside and its rank is the dimension.
+    conditions cut out the system, ``cut_out``, iff all are inside and its
+    rank is the dimension: this is the library's one span comparison.
     """
     rank = columns = 0
     contacts = {}
@@ -432,9 +398,9 @@ def conditions_report(pencil: PencilCubic, system: LinearSystem) -> tuple[int, i
         return True
 
     kept = [g for g in system.generators if is_inside(g)]
-    inside = system if len(kept) == len(system.generators) else \
-        LinearSystem(system.ring, system.degree, kept)
-    return rank, columns - rank, inside
+    if len(kept) == len(system.generators):
+        return rank, columns - rank, system, system.row_space().rank == columns - rank
+    return rank, columns - rank, LinearSystem(system.ring, system.degree, kept), False
 
 
 def sextic_constraint_rows(pencil: PencilCubic) -> tuple[list[Exponents], list[list[int]]]:
@@ -446,8 +412,8 @@ def solve_constraints(pencil: PencilCubic, degree: int) -> LinearSystem:
     """The degree-D system found from its incidence conditions alone, by exact
     elimination: no generator shape is assumed, so it must agree independently."""
     monomials, rows = constraint_rows(pencil, degree)
-    return LinearSystem(P3_VARS, degree, (Polynomial(P3_VARS, zip(monomials, vector))
-                                          for vector in nullspace_basis(rows, len(monomials))))
+    return LinearSystem(P3_VARS, degree, (Polynomial._from_valid_terms(P3_VARS, zip(monomials, v))
+                                          for v in nullspace_basis(rows, len(monomials))))
 
 
 def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:
@@ -461,4 +427,4 @@ def random_member(system: LinearSystem, rng) -> Polynomial:
     for g in system.generators:
         coefficient = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
         terms.extend((coefficient * g).items())
-    return Polynomial(system.ring, terms)
+    return Polynomial._from_valid_terms(system.ring, terms)

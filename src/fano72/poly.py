@@ -340,9 +340,9 @@ def substitute_all(polys: Iterable[Polynomial],
     is a shift of the exponents by e*m and a factor k^e, so no product is
     formed for it.  The powers of the other images (the zero image among
     them) that a term asks for are multiplied together once per call, from
-    memoised image powers, and memoised by the tuple of (variable, exponent)
-    pairs; each term then shifts and scales that product.  No memo outlives
-    the call.
+    memoised image powers (the first is the image itself), starting from the
+    first factor, and memoised by the tuple of (variable, exponent) pairs;
+    each term then shifts and scales that product.  No memo outlives the call.
     """
     if not images:
         raise SubstitutionError("substitution needs at least one image to fix the target ring")
@@ -362,7 +362,7 @@ def substitute_all(polys: Iterable[Polynomial],
     products: dict[tuple[tuple[str, int], ...], Polynomial] = {}
 
     def image_power(name: str, k: int) -> Polynomial:
-        cache = powers.setdefault(name, [one])
+        cache = powers.setdefault(name, [one, images[name]])
         while len(cache) <= k:
             cache.append(cache[-1] * images[name])
         return cache[k]
@@ -386,8 +386,8 @@ def substitute_all(polys: Iterable[Polynomial],
             key = tuple(key)
             product = products.get(key)
             if product is None:
-                product = one
-                for name, e in key:
+                product = image_power(*key[0]) if key else one
+                for name, e in key[1:]:
                     product = product * image_power(name, e)
                 products[key] = product
             terms.extend((tuple(map(add, m, shift)), coefficient * k)

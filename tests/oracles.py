@@ -161,6 +161,15 @@ def rref_nullspace(rows, ncols: int) -> dict[int, list[Fraction]]:
     return solutions
 
 
+def same_span(a, b) -> bool:
+    """Whether two linear systems span one space: the dense ranks of each and of
+    both together agree, over the union of their generators' monomials."""
+    terms = [[dict(g.items()) for g in system.generators] for system in (a, b)]
+    columns = sorted({e for side in terms for t in side for e in t})
+    rows_a, rows_b = ([[t.get(e, 0) for e in columns] for t in side] for side in terms)
+    return rref_rank(rows_a) == rref_rank(rows_b) == rref_rank(rows_a + rows_b)
+
+
 def poly_matrix(polys, degree: int):
     """Dense coefficient matrix of homogeneous polynomials over one graded piece."""
     columns = enumerate_monomials((1,) * len(polys[0].ring), degree)

@@ -10,7 +10,7 @@ from time import perf_counter
 
 from fano72 import (BundleSystemSpec, RuledClass, SplitBundle,
                     WeightedProjectiveSpace, build_degree12_system,
-                    build_sextic_system, compare_spans,
+                    build_sextic_system, conditions_report,
                     coordinate_plane_residual, factor_out, hilbert_count,
                     is_homogeneous, is_scalar_multiple, multiplicity_along_line,
                     pullback_system, random_member, restrict_to_pencil,
@@ -21,7 +21,7 @@ from fano72.linsys import PencilCubic, sextic_constraint_rows
 
 from oracles import (hilbert_consistency_failures,
                      pullback_multiplicativity_failures, rref_rank,
-                     ring_axiom_failures, substitution_failures,
+                     ring_axiom_failures, same_span, substitution_failures,
                      valuation_failures)
 
 DEFAULT = PencilCubic.default()
@@ -139,7 +139,7 @@ def test_criterion_07_constraint_route():
     solved = solve_sextic_constraints(DEFAULT)
     _check(failures, len(solved.generators) == 11,
            f"constraint solution dimension {len(solved.generators)}, wanted 11")
-    _check(failures, compare_spans(solved, build_sextic_system(DEFAULT)).passed,
+    _check(failures, same_span(solved, build_sextic_system(DEFAULT)),
            "constraint route disagrees with the generator route")
     _, rows = sextic_constraint_rows(DEFAULT)
     _check(failures, rref_rank(rows) == 8,
@@ -169,13 +169,14 @@ def test_criterion_09_span_identity():
     failures = []
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
     for pencil, name in ((DEFAULT, "default"), (ALTERNATE, "alternate")):
-        report = compare_spans(pullback_system(weighted_parametrization(pencil), basis),
-                               solve_constraints(pencil, 12))
-        _check(failures, report.rank_a == 39,
-               f"{name}: pullback rank {report.rank_a}, wanted 39")
-        _check(failures, report.rank_b == 39,
-               f"{name}: conditions rank {report.rank_b}, wanted 39")
-        _check(failures, report.passed, f"{name}: span identity failed")
+        pulled = pullback_system(weighted_parametrization(pencil), basis)
+        solved = solve_constraints(pencil, 12)
+        for label, system in (("pullback", pulled), ("conditions", solved)):
+            rank = system.row_space().rank
+            _check(failures, rank == 39, f"{name}: {label} rank {rank}, wanted 39")
+        _check(failures, same_span(pulled, solved), f"{name}: span identity failed")
+        _check(failures, conditions_report(pencil, pulled)[3],
+               f"{name}: the certificate does not see the conditions cut out the pullback")
     _conclude(9, "anticanonical pullback span equals the span cut out by the degree-12 "
                  "conditions for two pencils",
               failures, started)

@@ -117,8 +117,7 @@ def test_run_all_builds_each_system_once(monkeypatch):
                         counted("pullback", ratmap.pullback_system, lambda _, system: system.degree))
     certificate = counted("certificate", linsys.conditions_report, lambda args, _: args[1].degree)
     for name, wrapper in (("conditions_report", certificate),
-                          ("nullspace_basis", counted("nullspace", linalg.nullspace_basis)),
-                          ("compare_spans", counted("compare", linsys.compare_spans))):
+                          ("nullspace_basis", counted("nullspace", linalg.nullspace_basis))):
         for module in (linalg, linsys, checks):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)

@@ -8,7 +8,7 @@ import pytest
 
 from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidPencilError,
                     LinearSystem, Polynomial, build_degree12_system, build_sextic_system,
-                    compare_spans, coordinate_plane_residual,
+                    coordinate_plane_residual,
                     enumerate_monomials, factor_out, generators, is_homogeneous, is_scalar_multiple,
                     multiplicity_along_line, pullback_system, random_member,
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
@@ -438,8 +438,9 @@ def test_constraint_solution_dimension_and_span():
     solved = solve_sextic_constraints(DEFAULT)
     assert len(solved.generators) == 11
     assert solved.projective_dim() == 10
-    assert compare_spans(solved, build_sextic_system(DEFAULT)).passed
-    assert compare_spans(build_sextic_system(DEFAULT), solved).passed
+    # the conditions cut out both systems, so the two spans are one
+    assert conditions_report(DEFAULT, solved)[3]
+    assert conditions_report(DEFAULT, build_sextic_system(DEFAULT))[3]
 
 
 def test_dropping_one_plane_condition_grows_the_solution_space():
@@ -452,12 +453,15 @@ def test_constraint_route_for_another_pencil():
     pencil = PencilCubic.from_roots((-1, Fraction(1, 2), 5))
     solved = solve_sextic_constraints(pencil)
     assert len(solved.generators) == 11
-    assert compare_spans(solved, build_sextic_system(pencil)).passed
+    assert conditions_report(pencil, solved)[3]
+    assert conditions_report(pencil, build_sextic_system(pencil))[3]
 
 
 def test_spans_differ_when_the_pencils_differ():
     other = PencilCubic.from_roots((1, 2, 4))
-    assert not compare_spans(build_sextic_system(DEFAULT), build_sextic_system(other)).passed
+    assert conditions_report(DEFAULT, build_sextic_system(DEFAULT))[3]
+    assert not conditions_report(DEFAULT, build_sextic_system(other))[3]
+    assert not conditions_report(other, build_sextic_system(DEFAULT))[3]
 
 
 # -- the degree-12 system --------------------------------------------------------
@@ -512,8 +516,8 @@ def test_builders_return_the_hand_written_shapes_in_order(roots):
 def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
     # Each basis monomial's image is a shift of one memoised product per
     # (x3, x4)-exponent block, so the products are those of the components,
-    # the image powers and the blocks (16 and 8), not one or more per
-    # generator (126 and 38 when every monomial was multiplied out).
+    # the image powers and the blocks (8 and 4), none of them with 1, not one
+    # or more per generator (126 and 38 when every monomial was multiplied out).
     calls = []
     multiply = Polynomial.__mul__
 
@@ -522,7 +526,7 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
-    for build, bound in ((build_degree12_system, 20), (build_sextic_system, 10)):
+    for build, bound in ((build_degree12_system, 8), (build_sextic_system, 4)):
         calls.clear()
         build(DEFAULT)
         assert len(calls) <= bound, build.__name__
@@ -546,8 +550,8 @@ def test_degree12_conditions_cut_out_the_system_and_the_pullback(roots):
     assert len(solved.generators) == 39
     pulled = pullback_system(weighted_parametrization(pencil),
                              WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis())
-    assert compare_spans(solved, LinearSystem(P3_VARS, 12, degree12_shapes(pencil))).passed
-    assert compare_spans(solved, pulled).passed
+    for system in (solved, LinearSystem(P3_VARS, 12, degree12_shapes(pencil)), pulled):
+        assert conditions_report(pencil, system)[3]
 
 
 @dataclass(frozen=True)
@@ -569,9 +573,12 @@ def _stand_in(roots) -> RootsOnly:
 def test_inadmissible_roots_lose_conditions_and_the_span(roots, ranks):
     pencil = _stand_in(roots)
     for degree, build, rank in zip((6, 12), (build_sextic_system, build_degree12_system), ranks):
-        _, rows = constraint_rows(pencil, degree)
+        monomials, rows = constraint_rows(pencil, degree)
         assert rref_rank(rows) == rank
-        assert not compare_spans(solve_constraints(pencil, degree), build(pencil)).passed
+        system = build(pencil)
+        assert not conditions_report(pencil, system)[3]
+        assert len(solve_constraints(pencil, degree).generators) == len(monomials) - rank \
+            > system.row_space().rank
 
 
 # -- the certificate: rank of the conditions and annihilation -----------------------
@@ -582,13 +589,14 @@ def test_inadmissible_roots_lose_conditions_and_the_span(roots, ranks):
 def test_conditions_report_agrees_with_the_dense_rank_and_the_solutions(roots, degree, build):
     pencil = PencilCubic.from_roots(roots)
     system = build(pencil)
-    rank, dimension, inside = conditions_report(pencil, system)
+    rank, dimension, inside, cut_out = conditions_report(pencil, system)
     monomials, rows = constraint_rows(pencil, degree)
     assert rank == rref_rank(rows)
     assert dimension == len(monomials) - rank == len(solve_constraints(pencil, degree).generators)
     assert (rank, dimension) == {6: (8, 11), 12: (71, 39)}[degree]
     assert inside is system
     assert system.row_space().rank == dimension
+    assert cut_out
 
 
 @pytest.mark.parametrize("roots, ranks, dimensions", [((0, 1, 2), (7, 67), (12, 43)),
@@ -602,7 +610,8 @@ def test_conditions_report_on_inadmissible_roots_fails_the_equality(roots, ranks
         report = conditions_report(pencil, system)
         assert report[:2] == (rank, dimension)
         assert rank == rref_rank(constraint_rows(pencil, degree)[1])
-        inside = report[2]
+        _, _, inside, cut_out = report
+        assert not cut_out
         assert not (inside.generators == system.generators
                     and system.row_space().rank == dimension)
 
@@ -611,9 +620,10 @@ def test_conditions_report_counts_generators_off_the_conditions_as_outside():
     # x2^5*x4 sits on an end column of block (0, 1); x1^5*x3 lies on inner
     # columns but does not vanish on the pencil planes; x4^6 is in no block.
     system = LinearSystem(P3_VARS, 6, [X2 ** 5 * X4, X1 ** 5 * X3, X4 ** 6, X1 ** 6])
-    rank, dimension, inside = conditions_report(DEFAULT, system)
+    rank, dimension, inside, cut_out = conditions_report(DEFAULT, system)
     assert (rank, dimension) == (8, 11)
     assert inside.generators == (X1 ** 6,)
+    assert not cut_out
 
 
 def test_conditions_report_counts_a_sum_across_blocks_as_inside():
@@ -622,7 +632,9 @@ def test_conditions_report_counts_a_sum_across_blocks_as_inside():
     degree12 = LinearSystem(P3_VARS, 12, [(X1 * X2 * X4 * xi) ** 2 - 3 * (X3 * xi) ** 3
                                           + X3 * xi * X1 ** 8])
     for system in (sextic, degree12):
-        assert conditions_report(DEFAULT, system)[2] is system
+        _, _, inside, cut_out = conditions_report(DEFAULT, system)
+        assert inside is system
+        assert not cut_out      # inside, but one generator does not span the whole space
 
 
 def test_conditions_report_rejects_other_rings():
