@@ -5,24 +5,58 @@ dimension counts, intersection numbers, linear systems, and the span
 identity that together identify the threefold obtained from the cone over
 the degree-8 scroll (mapped by cubics through six ruling planes) with the
 anticanonically embedded weighted projective space P(1,1,4,6).
+
+``import fano72`` loads no submodule.  Each exported name is resolved on
+first access, through ``_EXPORTS`` and the module ``__getattr__`` of
+PEP 562, and loads only the submodule that defines it and what that one
+imports; so ``fano72 hilbert`` loads ``cli``, ``grading`` and ``poly`` alone.
 """
 
-from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
-from .checks import (CheckRecord, ConfigurationError, VerifyConfig, run_all)
-from .grading import (ANY_DEGREE, check_weights, enumerate_monomials,
-                      hilbert_count, is_homogeneous)
-from .linalg import RowSpace, nullspace_basis
-from .linsys import (InvalidPencilError, LinearSystem, P3_VARS, PENCIL_VARS,
-                     PencilCubic, build_degree12_system, build_sextic_system,
-                     conditions_report, coordinate_plane_residual, factor_out,
-                     is_scalar_multiple, multiplicity_along_line, random_member,
-                     restrict_to_pencil, restrict_to_pencil_plane,
-                     solve_constraints, solve_sextic_constraints)
-from .poly import (ArityError, ExactDivisionError, ParseError, Polynomial,
-                   SubstitutionError, generators, monomial_text,
-                   parse_polynomial, substitute_all)
-from .ratmap import (GradedRationalMap, GradingError, TARGET_VARS,
-                     pullback_system, weighted_parametrization)
-from .wps import WeightedProjectiveSpace
-
 __version__ = "0.1.0"
+
+SUITES = ("wps", "scroll", "system-s", "system-t", "theorem")
+EXTRA_SUITES = ("sprime",)
+
+
+class ConfigurationError(Exception):
+    """The requested run cannot start (bad pencil cubic or unknown suite)."""
+
+
+# Exported name -> the submodule defining it.
+_EXPORTS = {name: module for module, names in {
+    "bundles": ("BundleSystemSpec", "RuledClass", "SplitBundle", "system_dim"),
+    "checks": ("CheckRecord", "VerifyConfig", "run_all"),
+    "grading": ("ANY_DEGREE", "check_weights", "enumerate_monomials", "hilbert_count",
+                "is_homogeneous"),
+    "linalg": ("RowSpace", "nullspace_basis"),
+    "linsys": ("InvalidPencilError", "LinearSystem", "P3_VARS", "PENCIL_VARS", "PencilCubic",
+               "build_degree12_system", "build_sextic_system", "conditions_report",
+               "coordinate_plane_residual", "factor_out", "is_scalar_multiple",
+               "multiplicity_along_line", "random_member", "restrict_to_pencil",
+               "restrict_to_pencil_plane", "solve_constraints", "solve_sextic_constraints"),
+    "poly": ("ArityError", "ExactDivisionError", "ParseError", "Polynomial",
+             "SubstitutionError", "generators", "monomial_text", "parse_polynomial",
+             "substitute_all"),
+    "ratmap": ("GradedRationalMap", "GradingError", "TARGET_VARS", "pullback_system",
+               "weighted_parametrization"),
+    "wps": ("WeightedProjectiveSpace",),
+}.items() for name in names}
+
+# Submodules reachable as attributes, as ``fano72.linsys``, before anything imported them.
+_SUBMODULES = ("bundles", "checks", "cli", "grading", "linalg", "linsys", "poly", "ratmap", "wps")
+
+__all__ = ["ConfigurationError", "EXTRA_SUITES", "SUITES", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return __import__(f"{__name__}.{name}", fromlist=[name])
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
+    globals()[name] = value         # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

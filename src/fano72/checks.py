@@ -21,6 +21,7 @@ from functools import cache, cached_property
 from time import perf_counter
 from typing import Callable
 
+from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .bundles import BundleSystemSpec, RuledClass, SplitBundle, system_dim
 from .grading import hilbert_count, is_homogeneous
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
@@ -32,14 +33,6 @@ from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
 from .poly import ParseError
 from .ratmap import weighted_parametrization
 from .wps import WeightedProjectiveSpace
-
-SUITES = ("wps", "scroll", "system-s", "system-t", "theorem")
-EXTRA_SUITES = ("sprime",)
-
-
-class ConfigurationError(Exception):
-    """The requested run cannot start (bad pencil cubic or unknown suite)."""
-
 
 @dataclass(frozen=True)
 class VerifyConfig:

@@ -7,18 +7,16 @@ a closed pipe, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from time import perf_counter
 
-from .checks import (CheckRecord, ConfigurationError, EXTRA_SUITES, SUITES,
-                     VerifyConfig, run_all)
+# Each command imports what only it runs (the certifier for verify, wps for wps),
+# so hilbert loads grading and poly alone.
+from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .grading import enumerate_monomials, hilbert_count
 from .poly import monomial_text
-from .wps import WeightedProjectiveSpace
 
 # Most monomials `hilbert --list` or `wps --basis` prints, checked from the count,
 # and most exponents (monomials times weights): each monomial is a tuple of k of them.
@@ -57,7 +55,7 @@ def _print_monomials(weights: tuple[int, ...], degree: int) -> None:
         print(f"  {monomial_text(exponents, names) or '1'}")
 
 
-def _print_records(records: list[CheckRecord]) -> None:
+def _print_records(records: list) -> None:
     width = max(len(r.check_id) for r in records)
     for r in records:
         value = r.computed if r.status == "PASS" else f"{r.computed}, expected {r.expected}"
@@ -77,6 +75,10 @@ def _open_json(path: str | None):
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
+    import json
+    from dataclasses import asdict
+
+    from .checks import VerifyConfig, run_all
     config = VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed)
     config.pencil    # a bad pencil stops here, before --json can truncate or create its file
     with _open_json(args.json) as handle:
@@ -101,6 +103,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_wps(args: argparse.Namespace) -> int:
     """Anticanonical data; the basis is counted, and enumerated only for --basis."""
+    from .wps import WeightedProjectiveSpace
     weights = _parse_weights(args.weights)
     try:
         space = WeightedProjectiveSpace(weights)

@@ -69,6 +69,11 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
+    @property
+    def pivot_columns(self) -> tuple[Hashable, ...]:
+        """The smallest column of each basis row; no two rows share one."""
+        return tuple(self._pivots)
+
     def reduce(self, row) -> IntRow:
         """Residual of a row after elimination against the basis (empty iff member)."""
         r = _to_int_row(row)

@@ -176,7 +176,6 @@ class LinearSystem:
 
     def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
         ring = tuple(ring)
-        unit = (1,) * len(ring)
         seen: set[Polynomial] = set()
         normalized: list[Polynomial] = []
         for g in gens:
@@ -186,9 +185,9 @@ class LinearSystem:
                 raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
             if g.is_zero:
                 continue
-            if is_homogeneous(g, unit) != degree:
-                raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
             terms = dict(g.items())
+            if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
+                raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
             row = _to_int_row(terms)
             primitive = g if row == terms else Polynomial._from_valid_terms(ring, row.items())
             if primitive not in seen:
@@ -371,6 +370,13 @@ def conditions_report(pencil: PencilCubic,
     Block (c, d)'s 2d unit rows are the only rows on its end columns, so the
     rank sums 2d and the rank of its contact rows on the inner columns
     d <= b <= n - d; the dimension is the column count minus the rank.
+    The blocks of one contact order j = c + d share their contact rows and
+    n = D - j, and their inner columns are those with |2b - n| <= n - 2d:
+    keyed by (|2b - n|, b), each block's inner columns are a prefix of the
+    column order.  In an echelon basis, whose rows start at distinct pivot
+    columns, the rows pivoting inside a prefix restrict to independent rows
+    there and the others restrict to zero, so the rank on a prefix is the
+    number of pivots inside it; one elimination per j gives every block's rank.
     ``inside`` holds the generators whose blocks lie on inner columns and are
     annihilated by their contact rows (the system itself when all do).  The
     conditions cut out the system, ``cut_out``, iff all are inside and its
@@ -378,13 +384,16 @@ def conditions_report(pencil: PencilCubic,
     """
     rank = columns = 0
     contacts = {}
+    widths: dict[int, list[int]] = {}       # per j, the |2b - n| of each pivot column
     table = _contact_table(pencil, system.degree)
     for c, d, n in _blocks(system.degree):
         rows = [row for tau in pencil.roots for row in table[tau, c + d]]
-        inner = range(d, n - d + 1)
-        rank += 2 * d + RowSpace({b: row[b] for b in inner if b in row} for row in rows).rank
+        if c + d not in widths:
+            space = RowSpace({(abs(2 * b - n), b): v for b, v in row.items()} for row in rows)
+            widths[c + d] = [width for width, _ in space.pivot_columns]
+        rank += 2 * d + sum(1 for width in widths[c + d] if width <= n - 2 * d)
         columns += n + 1
-        contacts[c, d] = inner, rows
+        contacts[c, d] = range(d, n - d + 1), rows
 
     def is_inside(g: Polynomial) -> bool:
         forms: dict[tuple[int, int], dict[int, Coefficient]] = {}

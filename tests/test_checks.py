@@ -11,7 +11,7 @@ import pytest
 
 import fano72
 from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
-                    build_degree12_system, checks, cli, generators, linalg,
+                    build_degree12_system, checks, generators, linalg,
                     linsys, ratmap, run_all)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
@@ -185,7 +185,7 @@ def test_cli_unwritable_json_path_is_a_configuration_error(monkeypatch, tmp_path
     def no_run(config):
         raise AssertionError("checks ran before the --json path was opened")
 
-    monkeypatch.setattr(cli, "run_all", no_run)
+    monkeypatch.setattr(checks, "run_all", no_run)
     path = tmp_path / "missing" / "out.jsonl"
     assert main(["verify", "--json", str(path)]) == 2
     captured = capsys.readouterr()
@@ -420,7 +420,7 @@ def test_cli_scroll_check(capsys):
 
 def test_cli_exit_code_one_on_any_failure(monkeypatch, capsys):
     records = [CheckRecord("demo.fail", "demo", "plumbing", "FAIL", "1", "2", 0.0)]
-    monkeypatch.setattr(cli, "run_all", lambda config: records)
+    monkeypatch.setattr(checks, "run_all", lambda config: records)
     assert main(["verify"]) == 1
     assert "1 failed" in capsys.readouterr().out
 
@@ -430,7 +430,7 @@ def test_cli_summary_reports_wall_time(monkeypatch, tmp_path, capsys):
         time.sleep(0.3)
         return [CheckRecord("demo.pass", "demo", "plumbing", "PASS", "1", "1", 0.0)]
 
-    monkeypatch.setattr(cli, "run_all", slow_run_all)
+    monkeypatch.setattr(checks, "run_all", slow_run_all)
     path = tmp_path / "report.jsonl"
     assert main(["verify", "--json", str(path)]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]

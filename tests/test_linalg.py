@@ -48,6 +48,20 @@ def test_rank_matches_dense_elimination_oracle():
         assert RowSpace(rows).rank == rref_rank(rows)
 
 
+def test_pivots_inside_a_prefix_count_the_rank_there():
+    # The incidence certificate's prefix argument: the rank of the rows cut to
+    # their first k columns is the number of pivot columns among those k.
+    rng = random.Random(29)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        pivots = RowSpace(rows).pivot_columns
+        assert len(set(pivots)) == len(pivots)
+        for k in range(ncols + 1):
+            assert sum(1 for p in pivots if p < k) == rref_rank([row[:k] for row in rows])
+
+
 def test_int_fraction_and_non_primitive_rows_match_the_dense_oracle():
     # Each row is one of: primitive int, int with content > 1 or a negative
     # lead, or Fraction; as a list or as a mapping.  The normaliser must give

@@ -234,6 +234,9 @@ def test_proportional_generators_span_a_point():
 def test_inhomogeneous_generator_is_rejected():
     with pytest.raises(ValueError):
         LinearSystem(P3_VARS, 2, [X1 ** 2 + X2])
+    for g in (X1 ** 2 * X2 + X3, X1 ** 3):      # mixed degrees, or the wrong one throughout
+        with pytest.raises(ValueError, match=r"^generator .* is not homogeneous of degree 2$"):
+            LinearSystem(P3_VARS, 2, [X1 ** 2, g])
 
 
 def test_empty_system_has_dimension_minus_one():

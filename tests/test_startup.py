@@ -1,0 +1,58 @@
+"""Start-up: ``import fano72`` and ``fano72 hilbert`` load only the layers they run.
+
+The package resolves its exports on first access, through a name table, so a
+typo in that table would show only when the name is first used; the table
+tests below resolve every name.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fano72
+
+SRC = str(Path(fano72.__file__).resolve().parents[1])
+CERTIFIER = {"fano72.checks", "fano72.linsys", "fano72.ratmap", "fano72.bundles", "dataclasses"}
+
+
+def _loaded(*args: str) -> set[str]:
+    """The modules a fresh ``python -S`` loads to run args, read from ``-X importtime``."""
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_hilbert_loads_only_cli_grading_and_poly():
+    loaded = _loaded("-m", "fano72", "hilbert", "--weights", "1,1", "--degree", "1")
+    assert {m for m in loaded if m.startswith("fano72.")} == {
+        "fano72.cli", "fano72.grading", "fano72.poly"}
+    assert not loaded & CERTIFIER
+
+
+def test_import_fano72_loads_no_submodule():
+    loaded = _loaded("-c", "import fano72")
+    assert "fano72" in loaded
+    assert not {m for m in loaded if m.startswith("fano72.")}
+    assert not loaded & CERTIFIER
+
+
+def test_every_exported_name_is_its_submodule_attribute():
+    for name, module in fano72._EXPORTS.items():
+        assert getattr(fano72, name) is getattr(importlib.import_module(f"fano72.{module}"), name)
+    assert set(fano72._EXPORTS) <= set(fano72.__all__) <= set(dir(fano72))
+    assert all(hasattr(fano72, name) for name in fano72.__all__)
+
+
+def test_submodules_are_attributes_and_unknown_names_are_not():
+    for name in fano72._SUBMODULES:
+        assert getattr(fano72, name) is importlib.import_module(f"fano72.{name}")
+    with pytest.raises(AttributeError, match="no attribute 'hilbert_cont'"):
+        fano72.hilbert_cont
+    assert fano72.checks.ConfigurationError is fano72.ConfigurationError
