@@ -24,7 +24,7 @@ class ConfigurationError(Exception):
 
 # Exported name -> the submodule defining it.
 _EXPORTS = {name: module for module, names in {
-    "bundles": ("BundleSystemSpec", "RuledClass", "SplitBundle", "system_dim"),
+    "bundles": ("RuledClass", "SplitBundle", "system_dim"),
     "checks": ("CheckRecord", "VerifyConfig", "run_all"),
     "grading": ("ANY_DEGREE", "check_weights", "enumerate_monomials", "hilbert_count",
                 "is_homogeneous"),
@@ -37,7 +37,7 @@ _EXPORTS = {name: module for module, names in {
     "poly": ("ArityError", "ExactDivisionError", "ParseError", "Polynomial",
              "SubstitutionError", "generators", "monomial_text", "parse_polynomial",
              "substitute_all"),
-    "ratmap": ("GradedRationalMap", "GradingError", "TARGET_VARS", "pullback_system",
+    "ratmap": ("GradingError", "TARGET_VARS", "image_degrees", "pullback_system",
                "weighted_parametrization"),
     "wps": ("WeightedProjectiveSpace",),
 }.items() for name in names}

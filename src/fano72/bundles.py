@@ -48,25 +48,13 @@ class SplitBundle:
         return sum(max(0, t + 1) for t in self.twists)
 
 
-@dataclass(frozen=True)
-class BundleSystemSpec:
-    """A class a*L + b*P on the projectivized bundle: a times the tautological
-    class, b times the fibre class."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("the tautological multiple must be a natural number")
-
-
-def system_dim(bundle: SplitBundle, spec: BundleSystemSpec) -> int:
+def system_dim(bundle: SplitBundle, a: int, b: int) -> int:
     """Projective dimension of |a*L + b*P| on P(bundle); -1 means empty.
 
+    L is the tautological class and P the fibre class, a a natural number.
     Sections of a*L + b*P push down to Sym^a(bundle) twisted by b.
     """
-    return bundle.sym_power(spec.a).twist(spec.b).h0() - 1
+    return bundle.sym_power(a).twist(b).h0() - 1
 
 
 @dataclass(frozen=True)

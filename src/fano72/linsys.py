@@ -18,14 +18,13 @@ solves them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .grading import ANY_DEGREE, enumerate_monomials, is_homogeneous
+from .grading import enumerate_monomials, is_homogeneous
 from .linalg import RowSpace, _to_int_row, nullspace_basis
 from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
                    Polynomial, generators, parse_polynomial)
@@ -219,17 +218,13 @@ class LinearSystem:
         return self.row_space().rank - 1
 
     def member(self, f: Polynomial) -> bool:
-        """Exact test for membership of f in the rational span of the generators."""
+        """Exact test for membership of f in the rational span of the generators.
+
+        A term of any other degree meets no pivot column, so a polynomial that
+        is not homogeneous of the system's degree is never a member; zero is.
+        """
         if f.ring != self.ring:
             raise ArityError(f"ring mismatch: {f.ring} vs {self.ring}")
-        degree = is_homogeneous(f, (1,) * len(self.ring))
-        if degree is ANY_DEGREE:
-            return True
-        if degree != self.degree:
-            warnings.warn(
-                f"membership test on a polynomial that is not homogeneous of degree "
-                f"{self.degree}; returning False", stacklevel=2)
-            return False
         return self.row_space().contains(self.coefficient_vector(f))
 
 

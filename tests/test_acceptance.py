@@ -8,7 +8,7 @@ run ``pytest tests/test_acceptance.py -v -s`` to see them all.
 import random
 from time import perf_counter
 
-from fano72 import (BundleSystemSpec, RuledClass, SplitBundle,
+from fano72 import (RuledClass, SplitBundle,
                     WeightedProjectiveSpace, build_degree12_system,
                     build_sextic_system, conditions_report,
                     coordinate_plane_residual, factor_out, hilbert_count,
@@ -70,9 +70,9 @@ def test_criterion_03_bundle_system_dimensions():
     started = perf_counter()
     failures = []
     cone = SplitBundle((0, 2, 6))
-    got = system_dim(cone, BundleSystemSpec(3, -6))
+    got = system_dim(cone, 3, -6)
     _check(failures, got == 38, f"cubic-minus-six-fibres dimension is {got}, wanted 38")
-    got = system_dim(cone, BundleSystemSpec(1, 0))
+    got = system_dim(cone, 1, 0)
     _check(failures, got == 10, f"tautological dimension is {got}, wanted 10")
     _conclude(3, "bundle system dimensions 38 and 10 on the cone's resolution",
               failures, started)

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fano72 import BundleSystemSpec, RuledClass, SplitBundle, system_dim
+from fano72 import RuledClass, SplitBundle, system_dim
 
 CONE = SplitBundle((0, 2, 6))
 
@@ -55,9 +55,9 @@ def test_scroll_embeds_in_p9():
 
 
 def test_system_dimensions():
-    assert system_dim(CONE, BundleSystemSpec(3, -6)) == 38
-    assert system_dim(CONE, BundleSystemSpec(1, 0)) == 10
-    assert system_dim(CONE, BundleSystemSpec(0, -1)) == -1
+    assert system_dim(CONE, 3, -6) == 38
+    assert system_dim(CONE, 1, 0) == 10
+    assert system_dim(CONE, 0, -1) == -1
 
 
 def test_system_dim_is_monotone_in_the_fibre_twist():
@@ -66,13 +66,13 @@ def test_system_dim_is_monotone_in_the_fibre_twist():
         bundle = SplitBundle(tuple(rng.randint(-2, 6) for _ in range(rng.randint(1, 3))))
         a = rng.randint(0, 3)
         b = rng.randint(-9, 5)
-        assert system_dim(bundle, BundleSystemSpec(a, b)) <= \
-            system_dim(bundle, BundleSystemSpec(a, b + rng.randint(0, 4)))
+        assert system_dim(bundle, a, b) <= \
+            system_dim(bundle, a, b + rng.randint(0, 4))
 
 
 def test_bundle_system_spec_rejects_negative_tautological_multiple():
     with pytest.raises(ValueError):
-        BundleSystemSpec(-1, 0)
+        system_dim(CONE, -1, 0)
 
 
 def test_hirzebruch_intersection_numbers():

@@ -60,8 +60,7 @@ def test_integer_pencils_stay_on_int_coefficients(xi_text):
     pencil = VerifyConfig(xi_text=xi_text).pencil
     eta = weighted_parametrization(pencil)
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
-    pulled = substitute_all([Polynomial.monomial(TARGET_VARS, e) for e in basis],
-                            dict(zip(TARGET_VARS, eta.components)))
+    pulled = substitute_all([Polynomial.monomial(TARGET_VARS, e) for e in basis], eta)
     systems = (build_sextic_system(pencil), build_degree12_system(pencil),
                pullback_system(eta, basis))
     assert [len(s.generators) for s in systems] == [11, 39, 39]

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from fano72 import PencilCubic, WeightedProjectiveSpace, weighted_parametrization
+from fano72 import WeightedProjectiveSpace
 
 from oracles import brute_force_monomials
 
@@ -87,6 +87,3 @@ def test_spaces_are_immutable_values():
     listed = WeightedProjectiveSpace([1, 1, 4, 6])
     assert listed == space and hash(listed) == hash(space)
     assert listed.weights == (1, 1, 4, 6)
-    eta = weighted_parametrization(PencilCubic.default())
-    with pytest.raises(AttributeError):
-        eta.components = ()
