@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .grading import enumerate_monomials, is_homogeneous
@@ -249,7 +250,8 @@ def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Coefficient], ...]:
 
 
 # Each restriction below sends a term of a valid polynomial to at most one
-# term, so it maps f.items() directly; the shared merge loop sums collisions.
+# term, so it maps f.items() directly; the shared merge loop sums collisions,
+# except on one pencil plane, whose sums are taken in integers first.
 
 def restrict_to_pencil(f: Polynomial) -> Polynomial:
     """Substitute x2 = t*x1 with a symbolic pencil parameter t.
@@ -268,18 +270,32 @@ def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
     i = f.ring.index(name)
     if any(e[i] < power for e in f.monomials()):
         raise ExactDivisionError(f"{name}^{power} does not divide {f}")
-    return Polynomial._from_valid_terms(f.ring, ((e[:i] + (e[i] - power,) + e[i + 1:], k)
-                                                 for e, k in f.items()))
+    shift = [0] * len(f.ring)
+    shift[i] = -power
+    return f._shifted(shift, 1)
 
 
 def restrict_to_pencil_plane(f: Polynomial, tau: Fraction | int) -> Polynomial:
-    """Restrict to the single pencil plane x2 = tau*x1 (stays in the P^3 ring)."""
+    """Restrict to the single pencil plane x2 = tau*x1 (stays in the P^3 ring).
+
+    For tau = p/q, B the x2-degree of f and L the lcm of its coefficients'
+    denominators, the term k*x1^a*x2^b*x3^c*x4^d adds the integer
+    (k*L)*p^b*q^(B-b) to the sum at x1^(a+b)*x3^c*x4^d; each nonzero sum is
+    then divided by L*q^B once, so no Fraction arithmetic runs per term.
+    """
     items = _p3_items(f)
-    tau = Fraction(tau)
-    tau = tau if tau.denominator > 1 else tau.numerator    # an integral root keeps int arithmetic
-    powers = [tau ** b for b in range(f.degree_in(("x2",)) + 1)]
-    return Polynomial._from_valid_terms(P3_VARS, (((a + b, 0, c, d), k * powers[b])
-                                                  for (a, b, c, d), k in items))
+    p, q = tau.as_integer_ratio()
+    top = f.degree_in(("x2",))
+    denominator = lcm(*{k.denominator for _, k in items})
+    powers = [p ** b * q ** (top - b) for b in range(top + 1)]
+    sums: dict[Exponents, int] = {}
+    for (a, b, c, d), k in items:
+        e = (a + b, 0, c, d)
+        sums[e] = sums.get(e, 0) + k.numerator * (denominator // k.denominator) * powers[b]
+    scale = denominator * q ** top
+    return Polynomial._from_valid_terms(P3_VARS, ((e, s // scale if s % scale == 0
+                                                   else Fraction(s, scale))
+                                                  for e, s in sums.items()))
 
 
 def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
@@ -325,16 +341,16 @@ def _blocks(degree: int) -> list[tuple[int, int, int]]:
     return [(c, j - c, degree - j) for j in range(degree // 4 + 1) for c in range(j, -1, -1)]
 
 
-def _contact_rows(tau: Fraction, j: int, n: int) -> list[dict[int, int]]:
-    """The rows, keyed by b, for (x2 - tau*x1)^j to divide sum_b a_b*x1^(n-b)*x2^b:
+def _contact_rows(tau: Fraction, j: int, n: int) -> list[list[int]]:
+    """The dense rows, over b = 0..n, for (x2 - tau*x1)^j to divide sum_b a_b*x1^(n-b)*x2^b:
     sum_b C(b, k)*tau^(b-k)*a_b = 0 for k < j, times q^(n-k) for tau = p/q, so in integers."""
     p, q = tau.as_integer_ratio()
-    return [{b: comb(b, k) * p ** (b - k) * q ** (n - b) for b in range(k, n + 1)}
+    return [[comb(b, k) * p ** (b - k) * q ** (n - b) if b >= k else 0 for b in range(n + 1)]
             for k in range(j)]
 
 
 def _contact_table(pencil: PencilCubic,
-                   degree: int) -> dict[tuple[Fraction, int], list[dict[int, int]]]:
+                   degree: int) -> dict[tuple[Fraction, int], list[list[int]]]:
     """``_contact_rows`` per root and j = c + d, with n = D - j: blocks of one j share them."""
     return {(tau, j): _contact_rows(tau, j, degree - j)
             for tau in pencil.roots for j in range(degree // 4 + 1)}
@@ -352,7 +368,7 @@ def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], 
     monomials = sorted(((n - b, b, c, d) for c, d, n in blocks for b in range(n + 1)), reverse=True)
     units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
     table = _contact_table(pencil, degree)
-    contacts = [{(n - b, b, c, d): v for b, v in row.items()}
+    contacts = [{(n - b, b, c, d): v for b, v in enumerate(row)}
                 for tau in pencil.roots for c, d, n in blocks for row in table[tau, c + d]]
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
@@ -373,33 +389,38 @@ def conditions_report(pencil: PencilCubic,
     there and the others restrict to zero, so the rank on a prefix is the
     number of pivots inside it; one elimination per j gives every block's rank.
     ``inside`` holds the generators whose blocks lie on inner columns and are
-    annihilated by their contact rows (the system itself when all do).  The
+    annihilated by their contact rows, each block's form a dense list over
+    b = 0..n dotted with that j's rows (the system itself when all do).  The
     conditions cut out the system, ``cut_out``, iff all are inside and its
     rank is the dimension: this is the library's one span comparison.
     """
+    degree = system.degree
     rank = columns = 0
-    contacts = {}
-    widths: dict[int, list[int]] = {}       # per j, the |2b - n| of each pivot column
-    table = _contact_table(pencil, system.degree)
-    for c, d, n in _blocks(system.degree):
-        rows = [row for tau in pencil.roots for row in table[tau, c + d]]
-        if c + d not in widths:
-            space = RowSpace({(abs(2 * b - n), b): v for b, v in row.items()} for row in rows)
-            widths[c + d] = [width for width, _ in space.pivot_columns]
-        rank += 2 * d + sum(1 for width in widths[c + d] if width <= n - 2 * d)
+    contacts: dict[int, list[list[int]]] = {}      # per j, every root's dense contact rows
+    widths: dict[int, list[int]] = {}               # per j, the |2b - n| of each pivot column
+    inner: dict[tuple[int, int], range] = {}
+    table = _contact_table(pencil, degree)
+    for c, d, n in _blocks(degree):
+        j = c + d
+        if j not in contacts:
+            contacts[j] = rows = [row for tau in pencil.roots for row in table[tau, j]]
+            space = RowSpace({(abs(2 * b - n), b): v for b, v in enumerate(row)} for row in rows)
+            widths[j] = [width for width, _ in space.pivot_columns]
+        rank += 2 * d + sum(1 for width in widths[j] if width <= n - 2 * d)
         columns += n + 1
-        contacts[c, d] = range(d, n - d + 1), rows
+        inner[c, d] = range(d, n - d + 1)
 
     def is_inside(g: Polynomial) -> bool:
-        forms: dict[tuple[int, int], dict[int, Coefficient]] = {}
+        forms: dict[tuple[int, int], list[Coefficient]] = {}
         for (_, b, c, d), k in _p3_items(g):
-            forms.setdefault((c, d), {})[b] = k
-        for key, form in forms.items():
-            inner, rows = contacts.get(key, ((), ()))       # a block off the columns has none
-            if any(b not in inner for b in form) or any(
-                    sum(row.get(b, 0) * k for b, k in form.items()) for row in rows):
+            if b not in inner.get((c, d), ()):       # off the inner columns, or in no block
                 return False
-        return True
+            form = forms.get((c, d))
+            if form is None:
+                form = forms[c, d] = [0] * (degree - c - d + 1)
+            form[b] = k
+        return not any(sum(map(mul, row, form))
+                       for (c, d), form in forms.items() for row in contacts[c + d])
 
     kept = [g for g in system.generators if is_inside(g)]
     if len(kept) == len(system.generators):

@@ -6,6 +6,10 @@ tuple of variable names it lives over (its ring).  Values are immutable and
 kept in canonical form: zero coefficients are dropped and terms are ordered
 graded-lexicographically by the declared variable order, leading term first.
 All arithmetic is exact, so polynomial identities can be tested with ``==``.
+Sums, products, substitutions and exact division merge their terms in one
+shared loop.  The only construction that skips it is a product with a
+one-term factor c*x^s: grlex is a monomial order, so adding s to every
+exponent keeps the canonical term order and no two terms collide.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -80,11 +84,13 @@ def _merged_terms(terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Expone
     for exponents, coefficient in terms:
         if not coefficient:
             continue
-        total = merged.get(exponents, 0) + coefficient
-        if total:
+        total = merged.get(exponents)
+        if total is None:                           # a first term is stored, not added to 0
+            merged[exponents] = coefficient
+        elif total := total + coefficient:
             merged[exponents] = total
         else:
-            merged.pop(exponents, None)
+            del merged[exponents]
     order = sorted(merged, reverse=True)            # lex descending, then a stable
     order.sort(key=sum, reverse=True)               # pass by degree: grlex, in C
     return {e: c if (c := merged[e]).denominator > 1 else c.numerator for e in order}
@@ -99,7 +105,8 @@ class Polynomial:
     Caller terms are checked (arity, natural exponents) once, here; ``+``,
     ``*``, :func:`substitute_all` and :meth:`exact_divide` build exponents
     from valid ones and hand their raw, possibly colliding terms to the
-    same merge loop through the private ``_from_valid_terms``.
+    same merge loop through the private ``_from_valid_terms``; a product
+    with a one-term factor is the shift ``_shifted`` instead.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -123,6 +130,22 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "_terms", _merged_terms(terms))
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    def _shifted(self, shift: Sequence[int], factor: Coefficient) -> Polynomial:
+        """self * factor*x^shift for a nonzero factor, without the merge loop.
+
+        The caller sees that every shifted exponent stays natural (a negative
+        shift only after a divisibility check).  A shift keeps the grlex
+        order, so no terms collide; a product of nonzero values is nonzero,
+        and an integral one is stored as ``int``, as ``_merged_terms`` does.
+        """
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "ring", self.ring)
+        object.__setattr__(p, "_terms", {tuple(map(add, e, shift)):
+                                         c if (c := k * factor).denominator > 1 else c.numerator
+                                         for e, k in self._terms.items()})
         object.__setattr__(p, "_hash", None)
         return p
 
@@ -237,6 +260,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(other._terms) == 1:
+            return self._shifted(*other.leading_term())
+        if len(self._terms) == 1:
+            return other._shifted(*self.leading_term())
         return Polynomial._from_valid_terms(self.ring, ((tuple(map(add, e1, e2)), c1 * c2)
                                                         for e1, c1 in self._terms.items()
                                                         for e2, c2 in other._terms.items()))
@@ -342,7 +369,8 @@ def substitute_all(polys: Iterable[Polynomial],
     them) that a term asks for are multiplied together once per call, from
     memoised image powers (the first is the image itself), starting from the
     first factor, and memoised by the tuple of (variable, exponent) pairs;
-    each term then shifts and scales that product.  No memo outlives the call.
+    each term then shifts and scales that product, a one-term polynomial's
+    image without the merge loop.  No memo outlives the call.
     """
     if not images:
         raise SubstitutionError("substitution needs at least one image to fix the target ring")
@@ -369,7 +397,7 @@ def substitute_all(polys: Iterable[Polynomial],
 
     results = []
     for p in polys:
-        terms: list[tuple[Exponents, Coefficient]] = []
+        scaled: list[tuple[Polynomial, Exponents, Coefficient]] = []
         for exponents, coefficient in p._terms.items():
             shift, key = unit, []
             for name, e in zip(p.ring, exponents):
@@ -390,9 +418,14 @@ def substitute_all(polys: Iterable[Polynomial],
                 for name, e in key[1:]:
                     product = product * image_power(name, e)
                 products[key] = product
-            terms.extend((tuple(map(add, m, shift)), coefficient * k)
-                         for m, k in product._terms.items())
-        results.append(Polynomial._from_valid_terms(target, terms))
+            scaled.append((product, shift, coefficient))
+        if len(scaled) == 1:                # one term: its image is one shifted product
+            product, shift, coefficient = scaled[0]
+            results.append(product._shifted(shift, coefficient))
+        else:
+            results.append(Polynomial._from_valid_terms(target, (
+                (tuple(map(add, m, shift)), coefficient * k)
+                for product, shift, coefficient in scaled for m, k in product._terms.items())))
     return results
 
 

@@ -69,6 +69,7 @@ def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]
     degree = is_homogeneous(Polynomial(target, {e: 1 for e in basis}), image_degrees(images))
     if degree is None or degree is ANY_DEGREE:
         raise GradingError("basis monomials must be nonempty and share one weighted degree")
-    monomials = [Polynomial._from_valid_terms(target, ((tuple(e), 1),)) for e in basis]
+    unit = Polynomial._from_valid_terms(target, (((0,) * len(target), 1),))
+    monomials = [unit._shifted(e, 1) for e in basis]
     pulled = substitute_all(monomials, images)
     return LinearSystem(pulled[0].ring, degree, pulled)

@@ -13,7 +13,7 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     multiplicity_along_line, pullback_system, random_member,
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
-from fano72 import linsys
+from fano72 import linsys, poly
 from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
                            constraint_rows, sextic_constraint_rows, solve_constraints)
@@ -314,21 +314,31 @@ def test_factor_out():
 
 
 def test_restrictions_agree_with_substitution():
+    # Also the zero polynomial, an x2-free one (x2-degree 0) and roots with a
+    # negative numerator.  The restriction to a pencil plane has the
+    # substitution's coefficient types, int where integral: on the integer
+    # pencils, at an integral root, a generator's restriction is all int.
     t, p1, p3, p4 = generators(PENCIL_VARS)
     zero = Polynomial.zero(P3_VARS)
+    x2_free = Fraction(3, 4) * X1 ** 6 - 5 * X1 ** 5 * X3 + Fraction(7, 2) * X1 ** 5 * X4
     rng = random.Random(11)
     for roots in ((1, 2, 3), (1, 5, 7), (-3, Fraction(1, 2), 11),
                   (Fraction(-9973, 7), Fraction(13, 9999), Fraction(5000, 3))):
         pencil = PencilCubic.from_roots(roots)
-        polys = []
+        polys, integral = [zero, x2_free], []
         for system in (build_sextic_system(pencil), build_degree12_system(pencil)):
             polys += list(system.generators) + [random_member(system, rng)]
+            integral += system.generators if all(r.denominator == 1 for r in pencil.roots) else ()
         for f in polys:
             assert restrict_to_pencil(f) == f.substitute(
                 {"x1": p1, "x2": t * p1, "x3": p3, "x4": p4})
-            for tau in pencil.roots + (Fraction(-5, 3),):
-                assert restrict_to_pencil_plane(f, tau) == f.substitute(
-                    {"x1": X1, "x2": tau * X1, "x3": X3, "x4": X4})
+            for tau in pencil.roots + (Fraction(-5, 3), -4):
+                restricted = restrict_to_pencil_plane(f, tau)
+                substituted = f.substitute({"x1": X1, "x2": tau * X1, "x3": X3, "x4": X4})
+                assert [(e, type(c), c) for e, c in restricted.items()] == \
+                    [(e, type(c), c) for e, c in substituted.items()]
+                if f in integral and Fraction(tau).denominator == 1:
+                    assert all(type(c) is int for _, c in restricted.items())
             for plane, other in (("x1", "x2"), ("x2", "x1")):
                 images = {"x1": X1, "x2": X2, "x3": X3, "x4": X4, plane: zero}
                 assert coordinate_plane_residual(f, plane) == \
@@ -519,18 +529,30 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
     # (x3, x4)-exponent block, so the products are those of the components,
     # the image powers and the blocks (8 and 4), none of them with 1, not one
     # or more per generator (126 and 38 when every monomial was multiplied out).
-    calls = []
-    multiply = Polynomial.__mul__
+    # A product with a one-term factor is a shift that skips the merge loop, so
+    # the merges are the checked basis, the two units (one in pullback_system,
+    # one in substitute_all) and, at degree 12, the four products of multi-term
+    # images: (x3*xi)^2, (x3*xi)^3, (x1*x2*x4*xi)^2 and their block (1, 1),
+    # not 88 and 28 as when every one-term product went through the merge.
+    calls, merges = [], []
+    multiply, merge = Polynomial.__mul__, poly._merged_terms
 
     def counted(a, b):
         calls.append(None)
         return multiply(a, b)
 
+    def counted_merge(terms):
+        merges.append(None)
+        return merge(terms)
+
     monkeypatch.setattr(Polynomial, "__mul__", counted)
-    for build, bound in ((build_degree12_system, 8), (build_sextic_system, 4)):
+    monkeypatch.setattr(poly, "_merged_terms", counted_merge)
+    for build, bound, merged in ((build_degree12_system, 8, 7), (build_sextic_system, 4, 3)):
         calls.clear()
+        merges.clear()
         build(DEFAULT)
         assert len(calls) <= bound, build.__name__
+        assert len(merges) == merged, build.__name__
 
 
 # -- the constraint route at degree 12 ---------------------------------------------
@@ -615,6 +637,21 @@ def test_conditions_report_on_inadmissible_roots_fails_the_equality(roots, ranks
         assert not cut_out
         assert not (inside.generators == system.generators
                     and system.row_space().rank == dimension)
+        # inside holds exactly the generators whose coefficient vectors lie on the
+        # conditions' columns and meet every row in 0.  Against their own weakened
+        # conditions all are inside; against the default pencil's, only some are.
+        for conditions, partial in ((pencil, False), (DEFAULT, True)):
+            monomials, rows = constraint_rows(conditions, degree)
+            expected = []
+            for g in system.generators:
+                terms = dict(g.items())
+                vector = [terms.get(e, 0) for e in monomials]
+                if terms.keys() <= set(monomials) and not any(
+                        sum(r * v for r, v in zip(row, vector)) for row in rows):
+                    expected.append(g)
+            inside = conditions_report(conditions, system)[2]
+            assert inside.generators == tuple(expected)
+            assert (len(expected) < len(system.generators)) == partial
 
 
 def test_conditions_report_counts_generators_off_the_conditions_as_outside():

@@ -69,26 +69,41 @@ def test_parse_refuses_exponents_outside_the_ring_or_below_zero():
 
 def test_unchecked_results_equal_the_naive_oracle():
     # +, *, substitute_all and exact_divide build their terms without the
-    # constructor's checks; each must still give exactly the oracle's terms
+    # constructor's checks; each must still give exactly the oracle's terms,
+    # every integral coefficient an int.  m has one Fraction term, so p * m,
+    # m * p and m's substitution take the one-term shift, whose products may
+    # become integral.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     ring, target = ("a", "b", "c"), ("u", "v")
+    exponents = st.tuples(*[st.integers(0, 2)] * len(ring))
     coefficient = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=6))
-    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(ring)), coefficient, max_size=4)
+    terms = st.dictionaries(exponents, coefficient, max_size=4)
     image = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(target)), coefficient, max_size=3)
+    fraction = st.fractions(-20, 20, max_denominator=6).filter(lambda c: c.denominator > 1)
+    one_term = st.builds(lambda e, c: {e: c}, exponents, fraction)
+
+    def ints_where_integral(p: Polynomial) -> bool:
+        return all(type(c) is int for _, c in p.items() if c.denominator == 1)
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(terms, terms, st.lists(image, min_size=3, max_size=3))
-    def check(f, g, images):
-        p, q = Polynomial(ring, f), Polynomial(ring, g)
-        assert list((p + q).items()) == canonical_items(naive_add(f, g))
-        assert list((p * q).items()) == canonical_items(naive_mul(f, g))
-        pulled = substitute_all((p, q), {v: Polynomial(target, i) for v, i in zip(ring, images)})
-        for source, result in zip((f, g), pulled):
+    @hypothesis.given(terms, terms, one_term, st.lists(image, min_size=3, max_size=3))
+    def check(f, g, h, images):
+        p, q, m = Polynomial(ring, f), Polynomial(ring, g), Polynomial(ring, h)
+        results = [p + q, p * q, p * m, m * p]
+        assert list(results[0].items()) == canonical_items(naive_add(f, g))
+        assert list(results[1].items()) == canonical_items(naive_mul(f, g))
+        assert list(results[2].items()) == list(results[3].items()) == \
+            canonical_items(naive_mul(f, h))
+        pulled = substitute_all((p, q, m), {v: Polynomial(target, i) for v, i in zip(ring, images)})
+        for source, result in zip((f, g, h), pulled):
             expected = naive_substitute(source, images, len(target))
             assert list(result.items()) == canonical_items(expected)
+        results += pulled
         if q:
-            assert list((p * q).exact_divide(q).items()) == canonical_items(naive_add(f, {}))
+            results.append((p * q).exact_divide(q))
+            assert list(results[-1].items()) == canonical_items(naive_add(f, {}))
+        assert all(map(ints_where_integral, results))
 
     check()
 
