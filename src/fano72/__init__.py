@@ -9,7 +9,7 @@ anticanonically embedded weighted projective space P(1,1,4,6).
 ``import fano72`` loads no submodule.  Each exported name is resolved on
 first access, through ``_EXPORTS`` and the module ``__getattr__`` of
 PEP 562, and loads only the submodule that defines it and what that one
-imports; so ``fano72 hilbert`` loads ``cli``, ``grading`` and ``poly`` alone.
+imports; so ``fano72 hilbert`` loads ``cli`` and ``grading`` alone.
 """
 
 __version__ = "0.1.0"
@@ -26,16 +26,15 @@ class ConfigurationError(Exception):
 _EXPORTS = {name: module for module, names in {
     "bundles": ("RuledClass", "SplitBundle", "system_dim"),
     "checks": ("CheckRecord", "VerifyConfig", "run_all"),
-    "grading": ("ANY_DEGREE", "check_weights", "enumerate_monomials", "hilbert_count",
-                "is_homogeneous"),
-    "linalg": ("RowSpace", "nullspace_basis"),
-    "linsys": ("InvalidPencilError", "LinearSystem", "P3_VARS", "PENCIL_VARS", "PencilCubic",
+    "grading": ("check_weights", "enumerate_monomials", "hilbert_count", "monomial_text"),
+    "linalg": ("LinearSystem", "RowSpace", "nullspace_basis"),
+    "linsys": ("InvalidPencilError", "P3_VARS", "PENCIL_VARS", "PencilCubic",
                "build_degree12_system", "build_sextic_system", "conditions_report",
                "coordinate_plane_residual", "factor_out", "is_scalar_multiple",
                "multiplicity_along_line", "random_member", "restrict_to_pencil",
                "restrict_to_pencil_plane", "solve_constraints", "solve_sextic_constraints"),
-    "poly": ("ArityError", "ExactDivisionError", "ParseError", "Polynomial",
-             "SubstitutionError", "generators", "monomial_text", "parse_polynomial",
+    "poly": ("ANY_DEGREE", "ArityError", "ExactDivisionError", "ParseError", "Polynomial",
+             "SubstitutionError", "generators", "is_homogeneous", "parse_polynomial",
              "substitute_all"),
     "ratmap": ("GradingError", "TARGET_VARS", "image_degrees", "pullback_system",
                "weighted_parametrization"),

@@ -23,14 +23,14 @@ from typing import Callable
 
 from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .bundles import RuledClass, SplitBundle, system_dim
-from .grading import hilbert_count, is_homogeneous
+from .grading import hilbert_count
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
                      X3, X4, build_degree12_system, build_sextic_system,
                      conditions_report, coordinate_plane_residual, factor_out,
                      is_scalar_multiple, multiplicity_along_line,
                      random_member, restrict_to_pencil,
                      restrict_to_pencil_plane)
-from .poly import ParseError
+from .poly import ParseError, is_homogeneous
 from .ratmap import image_degrees, weighted_parametrization
 from .wps import WeightedProjectiveSpace
 

@@ -13,10 +13,9 @@ from contextlib import nullcontext
 from time import perf_counter
 
 # Each command imports what only it runs (the certifier for verify, wps for wps),
-# so hilbert loads grading and poly alone.
+# so hilbert loads cli and grading alone.
 from . import EXTRA_SUITES, SUITES, ConfigurationError
-from .grading import enumerate_monomials, hilbert_count
-from .poly import monomial_text
+from .grading import enumerate_monomials, hilbert_count, monomial_text
 
 # Most monomials `hilbert --list` or `wps --basis` prints, checked from the count,
 # and most exponents (monomials times weights): each monomial is a tuple of k of them.

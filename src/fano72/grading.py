@@ -1,22 +1,34 @@
-"""Weighted degrees, homogeneity tests, and graded monomial enumeration.
+"""Exponent tuples, weighted degrees, and graded monomial enumeration.
 
-A weight system assigns a positive integer degree to each ring variable.
-``enumerate_monomials`` lists a graded piece explicitly by an odometer over
-exponents, while ``hilbert_count`` counts it with the coin-change
-table, in O(k*d) time and O(d) memory for k weights and degree d; the two
-serve as cross-checking routes to the same number.  Neither keeps a memo,
-so no state outlives a call.  Both refuse degrees above ``MAX_DEGREE``, and
-the count refuses tables of more than 4 * ``MAX_DEGREE`` additions.
+A monomial is its exponent tuple, ordered by ``grlex_key`` and printed by
+``monomial_text``; this module imports nothing from the package.  A weight
+system gives each ring variable a positive integer degree.
+``enumerate_monomials`` lists a graded piece by an odometer over exponents,
+``hilbert_count`` counts it by the coin-change table in O(k*d) time and O(d)
+memory for k weights and degree d: two cross-checking routes to one number,
+neither keeping a memo.  Both refuse degrees above ``MAX_DEGREE``, and the
+count refuses tables of more than 4 * ``MAX_DEGREE`` additions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
-from operator import mul
 
-from .poly import ArityError, Exponents, Polynomial, grlex_key
+Exponents = tuple[int, ...]
+
+
+def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Sort key realizing graded lexicographic order on exponent tuples."""
+    exponents = tuple(exponents)
+    return (sum(exponents), exponents)
+
+
+def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
+    """Render an exponent tuple, e.g. ``x1^2*x3`` (empty string for the constant)."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in compress(zip(names, exponents), exponents))
 
 
 def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
@@ -42,30 +54,6 @@ def _check_degree(degree: int) -> None:
         raise ValueError("degree must be a natural number")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
-
-
-class _AnyDegree:
-    """Marker returned for the zero polynomial, homogeneous of every degree."""
-
-    def __repr__(self) -> str:
-        return "ANY_DEGREE"
-
-
-ANY_DEGREE = _AnyDegree()
-
-
-def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | None:
-    """Common weighted degree of all terms of f, ANY_DEGREE for 0, None if mixed."""
-    weights = check_weights(weights)
-    if len(f.ring) != len(weights):
-        raise ArityError(
-            f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
-    degrees = {sum(map(mul, exponents, weights)) for exponents in f.monomials()}
-    if not degrees:
-        return ANY_DEGREE
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
 
 
 def enumerate_monomials(weights: Sequence[int], degree: int) -> list[Exponents]:

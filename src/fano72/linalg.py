@@ -3,14 +3,15 @@
 Rows are sparse mappings {column: value}, or dense sequences whose columns
 are their positions.  Columns are any mutually comparable hashable keys,
 since the smallest column of a row is its pivot: integer positions, or the
-exponent tuples of one ring, as ``LinearSystem`` uses them.  Incoming ``int``
-or ``Fraction`` rows are scaled to primitive integer rows (denominators
-cleared, content divided out, entry at the smallest column positive) with no
-``Fraction`` arithmetic, and elimination uses integer cross-multiplication
-only, so no rounding or pivot-size tolerance exists anywhere.  The nullspace
-is read off the integer reduced row echelon form that the same
-cross-multiplication reaches by back elimination, the fraction-free idea of
-Bareiss (1968), so its basis vectors are primitive ``int`` tuples.
+exponent tuples of one ring in the term dicts of a ``LinearSystem``, a span
+of polynomials.  Incoming ``int`` or ``Fraction`` rows are scaled to
+primitive integer rows (denominators cleared, content divided out, entry at
+the smallest column positive) with no ``Fraction`` arithmetic, and
+elimination uses integer cross-multiplication only, so no rounding or
+pivot-size tolerance exists anywhere.  The nullspace is read off the integer
+reduced row echelon form that the same cross-multiplication reaches by back
+elimination, the fraction-free idea of Bareiss (1968), so its basis vectors
+are primitive ``int`` tuples.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
+from .poly import ArityError, Coefficient, Exponents, Polynomial
 
 IntRow = dict[Hashable, int]
 
@@ -125,3 +127,71 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> lis
         content = gcd(*vector)
         basis.append(tuple(v // content for v in vector))
     return basis
+
+
+class LinearSystem:
+    """A span of homogeneous degree-d forms in a fixed ring.
+
+    Generators are rescaled to primitive integer form (the row normaliser
+    ``_to_int_row``: content 1, last term positive), deduplicated, and zero inputs
+    dropped; the span is unchanged by any of this.  A generator that is
+    primitive already is kept as the same object; only the others are merged
+    anew.  Rank data is computed lazily over coefficient vectors keyed by
+    exponent tuple.
+    """
+
+    __slots__ = ("ring", "degree", "generators", "_row_space")
+
+    def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
+        ring = tuple(ring)
+        seen: set[Polynomial] = set()
+        normalized: list[Polynomial] = []
+        for g in gens:
+            if not isinstance(g, Polynomial):
+                raise ArityError("linear system generators must be Polynomials")
+            if g.ring != ring:
+                raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
+            if g.is_zero:
+                continue
+            terms = dict(g.items())
+            if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
+                raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
+            row = _to_int_row(terms)
+            primitive = g if row == terms else Polynomial._from_valid_terms(ring, row.items())
+            if primitive not in seen:
+                seen.add(primitive)
+                normalized.append(primitive)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", tuple(normalized))
+        object.__setattr__(self, "_row_space", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearSystem is immutable")
+
+    def __repr__(self) -> str:
+        return (f"LinearSystem(degree={self.degree}, "
+                f"generators={len(self.generators)}, ring={self.ring})")
+
+    def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Coefficient]:
+        return dict(f.items())
+
+    def row_space(self) -> RowSpace:
+        if self._row_space is None:
+            space = RowSpace(self.coefficient_vector(g) for g in self.generators)
+            object.__setattr__(self, "_row_space", space)
+        return self._row_space
+
+    def projective_dim(self) -> int:
+        """Rank of the generator matrix minus one; -1 for the empty system."""
+        return self.row_space().rank - 1
+
+    def member(self, f: Polynomial) -> bool:
+        """Exact test for membership of f in the rational span of the generators.
+
+        A term of any other degree meets no pivot column, so a polynomial that
+        is not homogeneous of the system's degree is never a member; zero is.
+        """
+        if f.ring != self.ring:
+            raise ArityError(f"ring mismatch: {f.ring} vs {self.ring}")
+        return self.row_space().contains(self.coefficient_vector(f))

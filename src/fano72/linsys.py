@@ -23,12 +23,13 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .grading import enumerate_monomials, is_homogeneous
-from .linalg import RowSpace, _to_int_row, nullspace_basis
+from .grading import enumerate_monomials
+from .linalg import LinearSystem, RowSpace, nullspace_basis
 from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
-                   Polynomial, generators, parse_polynomial)
+                   Polynomial, generators, is_homogeneous, parse_polynomial)
+from .ratmap import pullback_system, weighted_parametrization
 
 P3_VARS = ("x1", "x2", "x3", "x4")
 PENCIL_VARS = ("t", "x1", "x3", "x4")
@@ -115,7 +116,7 @@ class PencilCubic:
             raise InvalidPencilError("pencil roots must be nonzero (the plane x2 = 0 is reserved)")
         if scale == 0:
             raise InvalidPencilError("the pencil cubic must be nonzero")
-        cubic = Polynomial.constant(P3_VARS, scale)
+        cubic = Polynomial._term(P3_VARS, (0, 0, 0, 0), scale)
         for root in roots:
             cubic = cubic * (X2 - root * X1)
         return cls(cubic, tuple(sorted(roots)), scale)
@@ -159,76 +160,6 @@ class PencilCubic:
         return cls.from_roots((1, 2, 3))
 
 
-# -- linear systems ------------------------------------------------------
-
-class LinearSystem:
-    """A span of homogeneous degree-d forms in a fixed ring.
-
-    Generators are rescaled to primitive integer form (``linalg``'s row
-    normaliser: content 1, last term positive), deduplicated, and zero inputs
-    dropped; the span is unchanged by any of this.  A generator that is
-    primitive already is kept as the same object; only the others are merged
-    anew.  Rank data is computed lazily over coefficient vectors keyed by
-    exponent tuple.
-    """
-
-    __slots__ = ("ring", "degree", "generators", "_row_space")
-
-    def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
-        ring = tuple(ring)
-        seen: set[Polynomial] = set()
-        normalized: list[Polynomial] = []
-        for g in gens:
-            if not isinstance(g, Polynomial):
-                raise ArityError("linear system generators must be Polynomials")
-            if g.ring != ring:
-                raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
-            if g.is_zero:
-                continue
-            terms = dict(g.items())
-            if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
-                raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
-            row = _to_int_row(terms)
-            primitive = g if row == terms else Polynomial._from_valid_terms(ring, row.items())
-            if primitive not in seen:
-                seen.add(primitive)
-                normalized.append(primitive)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", tuple(normalized))
-        object.__setattr__(self, "_row_space", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSystem is immutable")
-
-    def __repr__(self) -> str:
-        return (f"LinearSystem(degree={self.degree}, "
-                f"generators={len(self.generators)}, ring={self.ring})")
-
-    def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Coefficient]:
-        return dict(f.items())
-
-    def row_space(self) -> RowSpace:
-        if self._row_space is None:
-            space = RowSpace(self.coefficient_vector(g) for g in self.generators)
-            object.__setattr__(self, "_row_space", space)
-        return self._row_space
-
-    def projective_dim(self) -> int:
-        """Rank of the generator matrix minus one; -1 for the empty system."""
-        return self.row_space().rank - 1
-
-    def member(self, f: Polynomial) -> bool:
-        """Exact test for membership of f in the rational span of the generators.
-
-        A term of any other degree meets no pivot column, so a polynomial that
-        is not homogeneous of the system's degree is never a member; zero is.
-        """
-        if f.ring != self.ring:
-            raise ArityError(f"ring mismatch: {f.ring} vs {self.ring}")
-        return self.row_space().contains(self.coefficient_vector(f))
-
-
 # -- pointwise geometry helpers ------------------------------------------
 
 def multiplicity_along_line(f: Polynomial) -> int:
@@ -265,9 +196,9 @@ def restrict_to_pencil(f: Polynomial) -> Polynomial:
 
 def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
     """Divide f exactly by name**power, or raise ExactDivisionError."""
-    if name not in f.ring:
-        raise ArityError(f"variable {name!r} is not in the ring {f.ring}")
-    i = f.ring.index(name)
+    if power < 0:
+        raise ValueError(f"factor_out needs a natural power, got {power}")
+    i = f._index(name)
     if any(e[i] < power for e in f.monomials()):
         raise ExactDivisionError(f"{name}^{power} does not divide {f}")
     shift = [0] * len(f.ring)
@@ -326,13 +257,11 @@ def is_scalar_multiple(f: Polynomial, exponents: Exponents) -> bool:
 
 def build_sextic_system(pencil: PencilCubic) -> LinearSystem:
     """The 11 sextics of multiplicity 5 along the line: the weighted-degree-6 pullback."""
-    from .ratmap import pullback_system, weighted_parametrization    # ratmap imports linsys
     return pullback_system(weighted_parametrization(pencil), enumerate_monomials((1, 1, 4, 6), 6))
 
 
 def build_degree12_system(pencil: PencilCubic) -> LinearSystem:
     """The 39 degree-12 surfaces of multiplicity 9 along the line: the anticanonical pullback."""
-    from .ratmap import pullback_system, weighted_parametrization    # ratmap imports linsys
     return pullback_system(weighted_parametrization(pencil), enumerate_monomials((1, 1, 4, 6), 12))
 
 

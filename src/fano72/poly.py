@@ -7,9 +7,10 @@ kept in canonical form: zero coefficients are dropped and terms are ordered
 graded-lexicographically by the declared variable order, leading term first.
 All arithmetic is exact, so polynomial identities can be tested with ``==``.
 Sums, products, substitutions and exact division merge their terms in one
-shared loop.  The only construction that skips it is a product with a
-one-term factor c*x^s: grlex is a monomial order, so adding s to every
-exponent keeps the canonical term order and no two terms collide.
+shared loop.  The only constructions that skip it are a single term (a
+scalar operand too) and a product with a one-term factor c*x^s: grlex is a
+monomial order, so adding s to every exponent keeps the canonical term order
+and no two terms collide.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -33,10 +34,10 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import compress
-from operator import add
+from operator import add, mul
 
-Exponents = tuple[int, ...]
+from .grading import Exponents, check_weights, grlex_key, monomial_text
+
 Coefficient = int | Fraction
 
 
@@ -54,12 +55,6 @@ class ExactDivisionError(ArithmeticError):
 
 class ParseError(ValueError):
     """Polynomial text does not match the grammar or the ring declaration."""
-
-
-def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing graded lexicographic order on exponent tuples."""
-    exponents = tuple(exponents)
-    return (sum(exponents), exponents)
 
 
 def _checked_terms(ring: tuple[str, ...], terms: Iterable[tuple[Sequence[int], Coefficient]]
@@ -105,8 +100,8 @@ class Polynomial:
     Caller terms are checked (arity, natural exponents) once, here; ``+``,
     ``*``, :func:`substitute_all` and :meth:`exact_divide` build exponents
     from valid ones and hand their raw, possibly colliding terms to the
-    same merge loop through the private ``_from_valid_terms``; a product
-    with a one-term factor is the shift ``_shifted`` instead.
+    same merge loop through the private ``_from_valid_terms``; a single
+    term (``_term``) and a one-term factor's shift (``_shifted``) skip it.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -123,15 +118,27 @@ class Polynomial:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
+    def _canonical(cls, ring: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> Polynomial:
+        """The polynomial of a term dict in canonical form already: no check, no merge."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    @classmethod
     def _from_valid_terms(cls, ring: tuple[str, ...],
                           terms: Iterable[tuple[Exponents, Coefficient]]) -> Polynomial:
         """Merge terms whose exponent tuples are already valid for ``ring`` and whose
         coefficients are ``int`` or ``Fraction``: the constructor minus its checks."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_terms", _merged_terms(terms))
-        object.__setattr__(p, "_hash", None)
-        return p
+        return cls._canonical(ring, _merged_terms(terms))
+
+    @classmethod
+    def _term(cls, ring: tuple[str, ...], exponents: Exponents, coefficient: Coefficient
+              ) -> Polynomial:
+        """A valid term coefficient*x^exponents (int or Fraction; 0 gives zero), as it stands."""
+        return cls._canonical(ring, {exponents: coefficient if coefficient.denominator > 1
+                                     else coefficient.numerator} if coefficient else {})
 
     def _shifted(self, shift: Sequence[int], factor: Coefficient) -> Polynomial:
         """self * factor*x^shift for a nonzero factor, without the merge loop.
@@ -141,13 +148,9 @@ class Polynomial:
         order, so no terms collide; a product of nonzero values is nonzero,
         and an integral one is stored as ``int``, as ``_merged_terms`` does.
         """
-        p = object.__new__(Polynomial)
-        object.__setattr__(p, "ring", self.ring)
-        object.__setattr__(p, "_terms", {tuple(map(add, e, shift)):
-                                         c if (c := k * factor).denominator > 1 else c.numerator
-                                         for e, k in self._terms.items()})
-        object.__setattr__(p, "_hash", None)
-        return p
+        return self._canonical(self.ring, {tuple(map(add, e, shift)):
+                                           c if (c := k * factor).denominator > 1 else c.numerator
+                                           for e, k in self._terms.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -229,7 +232,7 @@ class Polynomial:
                 raise ArityError(f"ring mismatch: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.ring, other)
+            return Polynomial._term(self.ring, (0,) * len(self.ring), other)
         return None
 
     def __add__(self, other) -> Polynomial:
@@ -280,9 +283,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power requires a natural exponent, got {exponent!r}")
-        result = Polynomial.constant(self.ring, 1)
-        base = self
-        k = exponent
+        result, base, k = self._coerce(1), self, exponent
         while k:
             if k & 1:
                 result = result * base
@@ -293,7 +294,7 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
+            other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
@@ -384,7 +385,7 @@ def substitute_all(polys: Iterable[Polynomial],
             raise SubstitutionError(
                 f"images live in different rings: {target} vs {image.ring}")
     unit = (0,) * len(target)
-    one = Polynomial._from_valid_terms(target, ((unit, 1),))
+    one = Polynomial._term(target, unit, 1)
     single = {name: image.leading_term() for name, image in images.items() if len(image) == 1}
     powers: dict[str, list[Polynomial]] = {}
     products: dict[tuple[tuple[str, int], ...], Polynomial] = {}
@@ -429,10 +430,25 @@ def substitute_all(polys: Iterable[Polynomial],
     return results
 
 
-def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
-    """Render an exponent tuple, e.g. ``x1^2*x3`` (empty string for the constant)."""
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in compress(zip(names, exponents), exponents))
+class _AnyDegree:
+    """Marker returned for the zero polynomial, homogeneous of every degree."""
+
+    def __repr__(self) -> str:
+        return "ANY_DEGREE"
+
+
+ANY_DEGREE = _AnyDegree()
+
+
+def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | None:
+    """Common weighted degree of all terms of f, ANY_DEGREE for 0, None if mixed."""
+    weights = check_weights(weights)
+    if len(f.ring) != len(weights):
+        raise ArityError(f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
+    degrees = {sum(map(mul, exponents, weights)) for exponents in f.monomials()}
+    if not degrees:
+        return ANY_DEGREE
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _term_text(coefficient: Coefficient, monomial: str) -> str:

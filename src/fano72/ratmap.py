@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .grading import ANY_DEGREE, is_homogeneous
-from .linsys import LinearSystem, PencilCubic, X1, X2, X3, X4
-from .poly import Exponents, Polynomial, substitute_all
+from .linalg import LinearSystem
+from .poly import ANY_DEGREE, Exponents, Polynomial, is_homogeneous, substitute_all
 
 TARGET_VARS = ("y1", "y2", "y3", "y4")
 
@@ -44,13 +43,15 @@ def image_degrees(images: Mapping[str, Polynomial]) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def weighted_parametrization(pencil: PencilCubic) -> dict[str, Polynomial]:
-    """The birational map P^3 -> P(1,1,4,6) attached to a pencil cubic.
+def weighted_parametrization(pencil) -> dict[str, Polynomial]:
+    """The birational map P^3 -> P(1,1,4,6) attached to a ``linsys.PencilCubic``.
 
-    Images: (x1, x2, x3*xi, x1*x2*x4*xi) with degrees (1, 1, 4, 6).
-    """
+    Images: (x1, x2, x3*xi, x1*x2*x4*xi) with degrees (1, 1, 4, 6), read off
+    the cubic xi alone: two single terms and two shifts of xi."""
     xi = pencil.cubic
-    return dict(zip(TARGET_VARS, (X1, X2, X3 * xi, X1 * X2 * X4 * xi)))
+    x1, x2 = (Polynomial._term(xi.ring, e, 1) for e in ((1, 0, 0, 0), (0, 1, 0, 0)))
+    return dict(zip(TARGET_VARS, (x1, x2, xi._shifted((0, 0, 1, 0), 1),
+                                  xi._shifted((1, 1, 0, 1), 1))))
 
 
 def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]) -> LinearSystem:
@@ -69,7 +70,6 @@ def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]
     degree = is_homogeneous(Polynomial(target, {e: 1 for e in basis}), image_degrees(images))
     if degree is None or degree is ANY_DEGREE:
         raise GradingError("basis monomials must be nonempty and share one weighted degree")
-    unit = Polynomial._from_valid_terms(target, (((0,) * len(target), 1),))
-    monomials = [unit._shifted(e, 1) for e in basis]
+    monomials = [Polynomial._term(target, e, 1) for e in basis]
     pulled = substitute_all(monomials, images)
     return LinearSystem(pulled[0].ring, degree, pulled)

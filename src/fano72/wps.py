@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 
-from .grading import check_weights, enumerate_monomials
-from .poly import Exponents
+from .grading import Exponents, check_weights, enumerate_monomials
 
 
 @dataclass(frozen=True, slots=True)

@@ -111,14 +111,13 @@ def test_run_all_builds_each_system_once(monkeypatch):
             return result
         return wrapper
 
-    # Counted wherever the suites could reach them: the builders import
-    # pullback_system from ratmap when they run.
-    monkeypatch.setattr(ratmap, "pullback_system",
-                        counted("pullback", ratmap.pullback_system, lambda _, system: system.degree))
+    # Counted wherever the suites could reach them: the builders call the
+    # pullback_system that linsys imports from ratmap.
+    pullback = counted("pullback", ratmap.pullback_system, lambda _, system: system.degree)
     certificate = counted("certificate", linsys.conditions_report, lambda args, _: args[1].degree)
-    for name, wrapper in (("conditions_report", certificate),
+    for name, wrapper in (("pullback_system", pullback), ("conditions_report", certificate),
                           ("nullspace_basis", counted("nullspace", linalg.nullspace_basis))):
-        for module in (linalg, linsys, checks):
+        for module in (linalg, ratmap, linsys, checks):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     for suite, expected in (("all", [("certificate", 6), ("certificate", 12),

@@ -311,6 +311,9 @@ def test_factor_out():
     assert factor_out(f, "x1", 5) == X3 + X1
     with pytest.raises(ExactDivisionError):
         factor_out(X1 ** 2 + X2 ** 2, "x1", 1)
+    # a negative power would multiply, not divide
+    with pytest.raises(ValueError, match="natural power"):
+        factor_out(X1, "x1", -1)
 
 
 def test_restrictions_agree_with_substitution():
@@ -526,12 +529,12 @@ def test_builders_return_the_hand_written_shapes_in_order(roots):
 
 def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
     # Each basis monomial's image is a shift of one memoised product per
-    # (x3, x4)-exponent block, so the products are those of the components,
-    # the image powers and the blocks (8 and 4), none of them with 1, not one
-    # or more per generator (126 and 38 when every monomial was multiplied out).
-    # A product with a one-term factor is a shift that skips the merge loop, so
-    # the merges are the checked basis, the two units (one in pullback_system,
-    # one in substitute_all) and, at degree 12, the four products of multi-term
+    # (x3, x4)-exponent block, and the components are single terms and shifts
+    # of xi, so the products are those of the image powers and the blocks
+    # (4 and 0), none of them with 1, not one or more per generator (126 and
+    # 38 when every monomial was multiplied out).  A single term and a product
+    # with a one-term factor skip the merge loop, so the merges are the
+    # checked basis and, at degree 12, the four products of multi-term
     # images: (x3*xi)^2, (x3*xi)^3, (x1*x2*x4*xi)^2 and their block (1, 1),
     # not 88 and 28 as when every one-term product went through the merge.
     calls, merges = [], []
@@ -547,12 +550,35 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     monkeypatch.setattr(poly, "_merged_terms", counted_merge)
-    for build, bound, merged in ((build_degree12_system, 8, 7), (build_sextic_system, 4, 3)):
+    for build, bound, merged in ((build_degree12_system, 4, 5), (build_sextic_system, 0, 1)):
         calls.clear()
         merges.clear()
         build(DEFAULT)
         assert len(calls) <= bound, build.__name__
         assert len(merges) == merged, build.__name__
+
+
+def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):
+    # A scalar operand is one trusted term, so c * g is a plain shift, and the
+    # pencil's product starts from its scale the same way: no caller terms to
+    # check anywhere in a random member, a scaled generator or a pencil.
+    checked = []
+    check = poly._checked_terms
+
+    def counted(ring, terms):
+        checked.append(ring)
+        return check(ring, terms)
+
+    system = build_sextic_system(DEFAULT)
+    g = system.generators[0]
+    monkeypatch.setattr(poly, "_checked_terms", counted)
+    member = random_member(system, random.Random(5))
+    scaled = Fraction(-3, 4) * g
+    pencil = PencilCubic.from_roots((Fraction(1, 2), -3, 7), Fraction(5, 2))
+    assert checked == []
+    assert scaled == Polynomial(P3_VARS, {e: Fraction(-3, 4) * k for e, k in g.items()})
+    assert system.member(member)
+    assert pencil.cubic.coefficient((0, 3, 0, 0)) == Fraction(5, 2)
 
 
 # -- the constraint route at degree 12 ---------------------------------------------

@@ -29,11 +29,12 @@ def _loaded(*args: str) -> set[str]:
             if line.startswith("import time:") and "|" in line}
 
 
-def test_hilbert_loads_only_cli_grading_and_poly():
+def test_hilbert_loads_only_cli_and_grading():
+    # grading imports nothing from the package, so neither polynomials nor
+    # their rationals load: fractions imports decimal.
     loaded = _loaded("-m", "fano72", "hilbert", "--weights", "1,1", "--degree", "1")
-    assert {m for m in loaded if m.startswith("fano72.")} == {
-        "fano72.cli", "fano72.grading", "fano72.poly"}
-    assert not loaded & CERTIFIER
+    assert {m for m in loaded if m.startswith("fano72.")} == {"fano72.cli", "fano72.grading"}
+    assert not loaded & (CERTIFIER | {"fractions", "decimal"})
 
 
 def test_import_fano72_loads_no_submodule():

@@ -1,16 +1,32 @@
 """The runtime imports the standard library only, never the test oracles, and
-holds no assert statement (python -O strips them)."""
+holds no assert statement (python -O strips them).  Its own modules import
+each other one way, at module level: a stack with ``grading`` and ``bundles``
+at the bottom, ``cli`` the only module importing inside its functions."""
 
 import ast
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "fano72").glob("*.py"))
 
 
-def _imports(path: Path):
-    """(module, level) for every import statement, one entry per imported name."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+def _nodes(path: Path) -> tuple[list[ast.AST], list[ast.AST]]:
+    """The AST nodes of a file: those outside every function, then those inside one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inner = [node for function in ast.walk(tree)
+             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(function)]
+    inside = set(map(id, inner))
+    return [node for node in ast.walk(tree) if id(node) not in inside], inner
+
+
+def _imports(path: Path, nodes=None):
+    """(module, level) for every import statement of a file, or among some of its
+    nodes, one entry per imported name."""
+    if nodes is None:
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from ((alias.name, 0) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -38,3 +54,20 @@ def test_runtime_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_package_imports_form_a_one_way_stack():
+    # A relative import names a submodule, or a name of the package's __init__.
+    modules = {path.stem for path in SOURCES}
+    graph = {path.stem: {module.split(".")[0] if module.split(".")[0] in modules else "__init__"
+                         for module, level in _imports(path, _nodes(path)[0]) if level}
+             for path in SOURCES}
+    assert graph["grading"] == graph["bundles"] == graph["__init__"] == set()
+    order = list(TopologicalSorter(graph).static_order())    # raises CycleError on a cycle
+    assert order.index("ratmap") < order.index("linsys")
+
+
+def test_only_cli_imports_from_the_package_inside_functions():
+    for path in SOURCES:
+        inner = [module for module, level in _imports(path, _nodes(path)[1]) if level]
+        assert path.name == "cli.py" or not inner, f"{path.name} imports {inner} in a function"
