@@ -1,17 +1,24 @@
-"""Exact linear algebra: fraction-free rank and an integer nullspace.
+"""Exact linear algebra: incremental sparse spans and a dense integer echelon.
 
-Rows are sparse mappings {column: value}, or dense sequences whose columns
-are their positions.  Columns are any mutually comparable hashable keys,
-since the smallest column of a row is its pivot: integer positions, or the
-exponent tuples of one ring in the term dicts of a ``LinearSystem``, a span
-of polynomials.  Incoming ``int`` or ``Fraction`` rows are scaled to
-primitive integer rows (denominators cleared, content divided out, entry at
-the smallest column positive) with no ``Fraction`` arithmetic, and
-elimination uses integer cross-multiplication only, so no rounding or
-pivot-size tolerance exists anywhere.  The nullspace is read off the integer
-reduced row echelon form that the same cross-multiplication reaches by back
-elimination, the fraction-free idea of Bareiss (1968), so its basis vectors
-are primitive ``int`` tuples.
+The module has two jobs.  ``RowSpace`` holds a span of sparse rows, built
+incrementally and queried row by row: the spans of ``LinearSystem``, its
+membership test and the integer nullspace.  ``echelon_pivots`` reads the
+pivot columns off the row echelon form of one dense integer matrix: the
+incidence certificate's contact rows, one matrix per contact order.
+
+``RowSpace`` rows are sparse mappings {column: value}, or dense sequences
+whose columns are their positions.  Columns are any mutually comparable
+hashable keys, since the smallest column of a row is its pivot: integer
+positions, or the exponent tuples of one ring in the term dicts of a
+``LinearSystem``, a span of polynomials.  Incoming ``int`` or ``Fraction``
+rows are scaled to primitive integer rows (denominators cleared, content
+divided out, entry at the smallest column positive) with no ``Fraction``
+arithmetic, and elimination uses integer cross-multiplication only, so no
+rounding or pivot-size tolerance exists anywhere.  The nullspace is read off
+the integer reduced row echelon form that the same cross-multiplication
+reaches by back elimination, so its basis vectors are primitive ``int``
+tuples.  ``echelon_pivots`` is Bareiss's fraction-free elimination (1968):
+each step divides exactly by the previous pivot, so it needs no gcd.
 """
 
 from __future__ import annotations
@@ -71,11 +78,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def pivot_columns(self) -> tuple[Hashable, ...]:
-        """The smallest column of each basis row; no two rows share one."""
-        return tuple(self._pivots)
-
     def reduce(self, row) -> IntRow:
         """Residual of a row after elimination against the basis (empty iff member)."""
         r = _to_int_row(row)
@@ -97,6 +99,35 @@ class RowSpace:
             return False
         self._pivots[min(residual)] = residual
         return True
+
+
+def echelon_pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot columns, ascending, of the row echelon form of a dense integer matrix.
+
+    Bareiss's fraction-free elimination: after the pivots p_1..p_k, each
+    remaining entry is a (k+1)-minor of the input, so the next step's cross
+    product divides exactly by p_k and no gcd or ``Fraction`` is taken.  A
+    zero at the pivot position swaps in a lower row; a column with no
+    nonzero entry left is skipped, so rank-deficient matrices work.  Rows
+    keep only the columns not yet passed.
+    """
+    matrix = [list(row) for row in rows]
+    pivots: list[int] = []
+    previous = 1
+    for c in range(len(matrix[0]) if matrix else 0):
+        i = next((i for i, row in enumerate(matrix) if row[0]), None)
+        if i is None:
+            matrix = [row[1:] for row in matrix]
+            continue
+        top = matrix.pop(i)
+        lead, tail = top[0], top[1:]
+        matrix = [[(lead * v - row[0] * t) // previous for v, t in zip(row[1:], tail)]
+                  for row in matrix]
+        previous = lead
+        pivots.append(c)
+        if not matrix:
+            break
+    return pivots
 
 
 def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .grading import enumerate_monomials
-from .linalg import LinearSystem, RowSpace, nullspace_basis
+from .linalg import LinearSystem, echelon_pivots, nullspace_basis
 from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
                    Polynomial, generators, is_homogeneous, parse_polynomial)
 from .ratmap import pullback_system, weighted_parametrization
@@ -313,10 +313,12 @@ def conditions_report(pencil: PencilCubic,
     The blocks of one contact order j = c + d share their contact rows and
     n = D - j, and their inner columns are those with |2b - n| <= n - 2d:
     keyed by (|2b - n|, b), each block's inner columns are a prefix of the
-    column order.  In an echelon basis, whose rows start at distinct pivot
+    column order.  In row echelon form, whose rows start at distinct pivot
     columns, the rows pivoting inside a prefix restrict to independent rows
     there and the others restrict to zero, so the rank on a prefix is the
-    number of pivots inside it; one elimination per j gives every block's rank.
+    number of pivots inside it.  So one fraction-free echelon per j, over
+    its dense rows in that column order, gives every block's rank: Bareiss
+    elimination with exact division by the previous pivot (``echelon_pivots``).
     ``inside`` holds the generators whose blocks lie on inner columns and are
     annihilated by their contact rows, each block's form a dense list over
     b = 0..n dotted with that j's rows (the system itself when all do).  The
@@ -326,16 +328,16 @@ def conditions_report(pencil: PencilCubic,
     degree = system.degree
     rank = columns = 0
     contacts: dict[int, list[list[int]]] = {}      # per j, every root's dense contact rows
-    widths: dict[int, list[int]] = {}               # per j, the |2b - n| of each pivot column
+    pivots: dict[int, list[int]] = {}               # per j, its pivot positions in (|2b - n|, b) order
     inner: dict[tuple[int, int], range] = {}
     table = _contact_table(pencil, degree)
     for c, d, n in _blocks(degree):
         j = c + d
         if j not in contacts:
             contacts[j] = rows = [row for tau in pencil.roots for row in table[tau, j]]
-            space = RowSpace({(abs(2 * b - n), b): v for b, v in enumerate(row)} for row in rows)
-            widths[j] = [width for width, _ in space.pivot_columns]
-        rank += 2 * d + sum(1 for width in widths[j] if width <= n - 2 * d)
+            order = sorted(range(n + 1), key=lambda b: (abs(2 * b - n), b))
+            pivots[j] = echelon_pivots([[row[b] for b in order] for row in rows])
+        rank += 2 * d + sum(1 for position in pivots[j] if position <= n - 2 * d)
         columns += n + 1
         inner[c, d] = range(d, n - d + 1)
 

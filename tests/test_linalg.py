@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 from fano72 import PencilCubic, RowSpace, enumerate_monomials, nullspace_basis
+from fano72.linalg import echelon_pivots
 from fano72.linsys import sextic_constraint_rows
 
-from oracles import rref_nullspace, rref_rank
+from oracles import _rref, rref_nullspace, rref_rank
 
 
 def test_rank_of_identity_like_rows():
@@ -49,15 +50,28 @@ def test_rank_matches_dense_elimination_oracle():
 
 
 def test_pivots_inside_a_prefix_count_the_rank_there():
-    # The incidence certificate's prefix argument: the rank of the rows cut to
-    # their first k columns is the number of pivot columns among those k.
+    # The incidence certificate's prefix argument, on its dense echelon: the
+    # pivots are the oracle's pivot columns, and the rank of the rows cut to
+    # their first k columns is the number of pivots among those k.  Zero rows,
+    # repeated rows and combinations of rows, zero columns and entries up to
+    # about 2^200 reach the kernel's row swaps and column skips, and its exact
+    # division on tall ints, which a dependent row must survive as zeros.
     rng = random.Random(29)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
-        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)]
-                for _ in range(nrows)]
-        pivots = RowSpace(rows).pivot_columns
-        assert len(set(pivots)) == len(pivots)
+        height = 2 ** rng.choice((2, 20, 200))
+        zero_columns = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+        rows = [[0 if c in zero_columns else rng.choice((0, 0, rng.randint(-height, height)))
+                 for c in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randint(0, 3)):
+            u, w = rng.choice(rows), rng.choice(rows)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            extra = rng.choice((u, [0] * ncols, [x * a + y * b for a, b in zip(u, w)]))
+            rows.insert(rng.randint(0, len(rows)), extra)
+        copies = [list(row) for row in rows]
+        pivots = echelon_pivots(rows)
+        assert rows == copies
+        assert pivots == _rref(rows)[1]
         for k in range(ncols + 1):
             assert sum(1 for p in pivots if p < k) == rref_rank([row[:k] for row in rows])
 

@@ -13,7 +13,7 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     multiplicity_along_line, pullback_system, random_member,
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
-from fano72 import linsys, poly
+from fano72 import linalg, linsys, poly
 from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
                            constraint_rows, sextic_constraint_rows, solve_constraints)
@@ -678,6 +678,45 @@ def test_conditions_report_on_inadmissible_roots_fails_the_equality(roots, ranks
             inside = conditions_report(conditions, system)[2]
             assert inside.generators == tuple(expected)
             assert (len(expected) < len(system.generators)) == partial
+
+
+DEGENERATE_ROOTS = [(0, 1, 2), (0, -3, Fraction(5, 2)), (1, 1, 2), (-2, -2, 7), (3, 3, 3),
+                    (0, 0, 4), (0, 0, 0), (-1, 1, 2), (Fraction(-1, 2), Fraction(1, 2), 0),
+                    (5, -5, 5)]
+
+
+def test_conditions_rank_on_degenerate_roots_matches_the_dense_oracle():
+    # A zero root, a repeated or triple root, two or three zeros, and +-r
+    # pairs.  Zero and repeated roots are the only ones whose contact rows
+    # meet a zero pivot entry or a column with nothing left: the echelon's row
+    # swaps and column skips.  The degree-12 oracle takes about 0.15 s a
+    # pencil, so it runs on the last six.
+    for degree, build, cases in ((6, build_sextic_system, DEGENERATE_ROOTS),
+                                 (12, build_degree12_system, DEGENERATE_ROOTS[4:])):
+        for roots in cases:
+            pencil = _stand_in(roots)
+            rank = conditions_report(pencil, build(pencil))[0]
+            assert rank == rref_rank(constraint_rows(pencil, degree)[1])
+
+
+@pytest.mark.parametrize("roots", [FOUR_ROOTS[0], FOUR_ROOTS[3]], ids=["default", "tall"])
+def test_the_certificate_takes_no_gcd_pass(monkeypatch, roots):
+    # The conditions' ranks come from one fraction-free echelon per contact
+    # order: no sparse elimination and no content division.  The system's own
+    # rank is its row space, made before the count starts.
+    pencil = PencilCubic.from_roots(roots)
+    systems = [build_sextic_system(pencil), build_degree12_system(pencil)]
+    for system in systems:
+        system.row_space()
+    calls = []
+    for name in ("_eliminate", "_primitive"):
+        def counted(*args, name=name, original=getattr(linalg, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    for system in systems:
+        assert conditions_report(pencil, system)[3]
+    assert calls == []
 
 
 def test_conditions_report_counts_generators_off_the_conditions_as_outside():
