@@ -94,7 +94,8 @@ def enumerate_monomials(weights: Sequence[int], degree: int) -> list[Exponents]:
         if not exponents[i]:
             nonzero.pop()
         j += 1
-    found.sort(key=grlex_key, reverse=True)
+    found.sort(reverse=True)            # lex descending, then a stable pass
+    found.sort(key=sum, reverse=True)   # by degree: grlex, in C, as poly's merge does
     return found
 
 

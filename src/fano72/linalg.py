@@ -13,12 +13,15 @@ positions, or the exponent tuples of one ring in the term dicts of a
 ``LinearSystem``, a span of polynomials.  Incoming ``int`` or ``Fraction``
 rows are scaled to primitive integer rows (denominators cleared, content
 divided out, entry at the smallest column positive) with no ``Fraction``
-arithmetic, and elimination uses integer cross-multiplication only, so no
-rounding or pivot-size tolerance exists anywhere.  The nullspace is read off
-the integer reduced row echelon form that the same cross-multiplication
-reaches by back elimination, so its basis vectors are primitive ``int``
-tuples.  ``echelon_pivots`` is Bareiss's fraction-free elimination (1968):
-each step divides exactly by the previous pivot, so it needs no gcd.
+arithmetic, once, at the boundary: a ``LinearSystem`` normalises each
+generator once and its span inserts those rows through the private
+``RowSpace._insert`` as they are.  Elimination uses integer
+cross-multiplication only, so no rounding or pivot-size tolerance exists
+anywhere.  The nullspace is read off the integer reduced row echelon form
+that the same cross-multiplication reaches by back elimination, so its
+basis vectors are primitive ``int`` tuples.  ``echelon_pivots`` is Bareiss's
+fraction-free elimination (1968): each step divides exactly by the previous
+pivot, so it needs no gcd.
 """
 
 from __future__ import annotations
@@ -80,7 +83,17 @@ class RowSpace:
 
     def reduce(self, row) -> IntRow:
         """Residual of a row after elimination against the basis (empty iff member)."""
-        r = _to_int_row(row)
+        return self._reduce(_to_int_row(row))
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
+
+    def insert(self, row) -> bool:
+        """Add a row to the space; False if it was already in the span."""
+        return self._insert(_to_int_row(row))
+
+    def _reduce(self, r: IntRow) -> IntRow:
+        """``reduce`` of a primitive integer row, trusted as such and left unchanged."""
         while r:
             lead = min(r)
             pivot = self._pivots.get(lead)
@@ -89,12 +102,9 @@ class RowSpace:
             r = _eliminate(r, pivot, lead)
         return r
 
-    def contains(self, row) -> bool:
-        return not self.reduce(row)
-
-    def insert(self, row) -> bool:
-        """Add a row to the space; False if it was already in the span."""
-        residual = self.reduce(row)
+    def _insert(self, r: IntRow) -> bool:
+        """``insert`` of a primitive integer row, which the space may keep as it is."""
+        residual = self._reduce(r)
         if not residual:
             return False
         self._pivots[min(residual)] = residual
@@ -167,8 +177,9 @@ class LinearSystem:
     ``_to_int_row``: content 1, last term positive), deduplicated, and zero inputs
     dropped; the span is unchanged by any of this.  A generator that is
     primitive already is kept as the same object; only the others are merged
-    anew.  Rank data is computed lazily over coefficient vectors keyed by
-    exponent tuple.
+    anew.  So each generator is normalised once, here, and its term dict,
+    keyed by exponent tuple, is its primitive integer row: the span, built
+    lazily, inserts those rows without normalising them again.
     """
 
     __slots__ = ("ring", "degree", "generators", "_row_space")
@@ -184,7 +195,7 @@ class LinearSystem:
                 raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
             if g.is_zero:
                 continue
-            terms = dict(g.items())
+            terms = g._terms
             if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
                 raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
             row = _to_int_row(terms)
@@ -209,7 +220,9 @@ class LinearSystem:
 
     def row_space(self) -> RowSpace:
         if self._row_space is None:
-            space = RowSpace(self.coefficient_vector(g) for g in self.generators)
+            space = RowSpace()
+            for g in self.generators:       # each term dict is a primitive integer row
+                space._insert(g._terms)
             object.__setattr__(self, "_row_space", space)
         return self._row_space
 

@@ -278,11 +278,11 @@ def _contact_rows(tau: Fraction, j: int, n: int) -> list[list[int]]:
             for k in range(j)]
 
 
-def _contact_table(pencil: PencilCubic,
-                   degree: int) -> dict[tuple[Fraction, int], list[list[int]]]:
-    """``_contact_rows`` per root and j = c + d, with n = D - j: blocks of one j share them."""
-    return {(tau, j): _contact_rows(tau, j, degree - j)
-            for tau in pencil.roots for j in range(degree // 4 + 1)}
+def _contact_table(pencil: PencilCubic, degree: int) -> list[list[list[list[int]]]]:
+    """``_contact_rows`` indexed by root position, then j = c + d, with n = D - j: blocks
+    of one j share them.  Lists, not a dict keyed by the root: a Fraction hash is slow."""
+    return [[_contact_rows(tau, j, degree - j) for j in range(degree // 4 + 1)]
+            for tau in pencil.roots]
 
 
 def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], list[list[int]]]:
@@ -298,7 +298,7 @@ def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], 
     units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
     table = _contact_table(pencil, degree)
     contacts = [{(n - b, b, c, d): v for b, v in enumerate(row)}
-                for tau in pencil.roots for c, d, n in blocks for row in table[tau, c + d]]
+                for by_j in table for c, d, n in blocks for row in by_j[c + d]]
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
 
@@ -334,7 +334,7 @@ def conditions_report(pencil: PencilCubic,
     for c, d, n in _blocks(degree):
         j = c + d
         if j not in contacts:
-            contacts[j] = rows = [row for tau in pencil.roots for row in table[tau, j]]
+            contacts[j] = rows = [row for by_j in table for row in by_j[j]]
             order = sorted(range(n + 1), key=lambda b: (abs(2 * b - n), b))
             pivots[j] = echelon_pivots([[row[b] for b in order] for row in rows])
         rank += 2 * d + sum(1 for position in pivots[j] if position <= n - 2 * d)

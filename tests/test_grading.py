@@ -65,9 +65,13 @@ def test_enumeration_skips_prefixes_with_no_completion():
 
 
 def test_enumeration_is_in_canonical_order():
-    listed = enumerate_monomials(W1146, 12)
-    keys = [grlex_key(e) for e in listed]
-    assert keys == sorted(keys, reverse=True)
+    # Two C sorts (lex descending, then a stable pass by degree) stand in
+    # for one grlex_key call per monomial; every piece must come out as the
+    # key would order it, the empty pieces and degree 0 too.
+    for weights in (W1146, (1, 1, 1, 3), (2, 3, 5), (1, 2, 3, 4, 5)):
+        for degree in range(41):
+            listed = enumerate_monomials(weights, degree)
+            assert listed == sorted(listed, key=grlex_key, reverse=True), (weights, degree)
 
 
 def test_hilbert_count_examples():

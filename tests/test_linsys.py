@@ -14,6 +14,7 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
 from fano72 import linalg, linsys, poly
+from fano72.linalg import RowSpace
 from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
                            constraint_rows, sextic_constraint_rows, solve_constraints)
@@ -556,6 +557,76 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
         build(DEFAULT)
         assert len(calls) <= bound, build.__name__
         assert len(merges) == merged, build.__name__
+
+
+def _assert_span_agrees_three_ways(system, probes):
+    # The span built from the rows LinearSystem made, a RowSpace that
+    # normalises the coefficient vectors again, and the dense oracle must
+    # give one rank and one membership answer per probe, and leave every
+    # generator's terms as they were.  Each generator times -3/7 is a member
+    # by construction, so only the probes need the oracle's answer.
+    before = [g.items() for g in system.generators]
+    span = system.row_space()
+    again = RowSpace(system.coefficient_vector(g) for g in system.generators)
+    columns = sorted({e for f in (*system.generators, *probes) for e in f.monomials()})
+    dense = [[g.coefficient(e) for e in columns] for g in system.generators]
+    rank = rref_rank(dense)
+    assert span.rank == again.rank == rank == len(system.generators)
+    cases = [(f, rref_rank(dense + [[f.coefficient(e) for e in columns]]) == rank)
+             for f in probes]
+    cases += [(Fraction(-3, 7) * g, True) for g in system.generators]
+    for f, expected in cases:
+        vector = system.coefficient_vector(f)
+        assert span.contains(vector) == again.contains(vector) == system.member(f) == expected
+        assert span.reduce(vector) == again.reduce(vector)
+    assert [g.items() for g in system.generators] == before
+
+
+@pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
+def test_the_span_of_the_stored_rows_is_the_span_of_the_generators(roots):
+    pencil = PencilCubic.from_roots(roots)
+    xi = pencil.cubic
+    special = [(X1 * X2 * X4 * xi) ** 2, (X3 * xi) ** 3, X4 ** 12]
+    for build in (build_sextic_system, build_degree12_system):
+        system = build(pencil)
+        _assert_span_agrees_three_ways(system, special)
+    assert [build_degree12_system(pencil).member(f) for f in special] == [True, True, False]
+
+
+def test_hand_made_generators_are_normalised_once_into_their_span():
+    # A non-primitive int generator, a Fraction one, one whose last term is
+    # negative, and an exact duplicate: the system keeps three primitive
+    # generators, and its span of their stored rows is theirs.
+    a = 6 * X1 ** 2 + 4 * X2 * X3
+    b = Fraction(1, 3) * X1 * X2 - Fraction(1, 2) * X3 ** 2
+    c = X1 * X4 - X4 ** 2
+    inputs = [a, b, c, a]
+    before = [f.items() for f in inputs]
+    system = LinearSystem(P3_VARS, 2, inputs)
+    assert system.generators == (3 * X1 ** 2 + 2 * X2 * X3, -2 * X1 * X2 + 3 * X3 ** 2,
+                                 -X1 * X4 + X4 ** 2)
+    probes = [a + b, a - c, Fraction(-3, 7) * b, X1 ** 2, X2 ** 2, X1 * X2 + X4 ** 2]
+    _assert_span_agrees_three_ways(system, probes)
+    assert [system.member(f) for f in probes] == [True, True, True, False, False, False]
+    assert [f.items() for f in inputs] == before
+
+
+def test_a_span_normalises_each_generator_once(monkeypatch):
+    # LinearSystem makes each generator's primitive integer row once, and its
+    # span inserts those rows as they are: 39 and 11 normalisations for the
+    # two systems, not twice that as when the span normalised them again.
+    calls = []
+    normalise = linalg._to_int_row
+
+    def counted(row):
+        calls.append(None)
+        return normalise(row)
+
+    monkeypatch.setattr(linalg, "_to_int_row", counted)
+    for build, count in ((build_degree12_system, 39), (build_sextic_system, 11)):
+        calls.clear()
+        assert build(DEFAULT).row_space().rank == count
+        assert len(calls) == count, build.__name__
 
 
 def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):
