@@ -18,12 +18,12 @@ solves them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
 from operator import mul
-from typing import Sequence
 
 from .grading import enumerate_monomials
 from .linalg import LinearSystem, echelon_pivots, nullspace_basis
@@ -265,11 +265,6 @@ def build_degree12_system(pencil: PencilCubic) -> LinearSystem:
     return pullback_system(weighted_parametrization(pencil), enumerate_monomials((1, 1, 4, 6), 12))
 
 
-def _blocks(degree: int) -> list[tuple[int, int, int]]:
-    """The (c, d, n) of the x3^c*x4^d blocks with j = c + d <= D // 4, n = D - j, j ascending."""
-    return [(c, j - c, degree - j) for j in range(degree // 4 + 1) for c in range(j, -1, -1)]
-
-
 def _contact_rows(tau: Fraction, j: int, n: int) -> list[list[int]]:
     """The dense rows, over b = 0..n, for (x2 - tau*x1)^j to divide sum_b a_b*x1^(n-b)*x2^b:
     sum_b C(b, k)*tau^(b-k)*a_b = 0 for k < j, times q^(n-k) for tau = p/q, so in integers."""
@@ -278,27 +273,20 @@ def _contact_rows(tau: Fraction, j: int, n: int) -> list[list[int]]:
             for k in range(j)]
 
 
-def _contact_table(pencil: PencilCubic, degree: int) -> list[list[list[list[int]]]]:
-    """``_contact_rows`` indexed by root position, then j = c + d, with n = D - j: blocks
-    of one j share them.  Lists, not a dict keyed by the root: a Fraction hash is slow."""
-    return [[_contact_rows(tau, j, degree - j) for j in range(degree // 4 + 1)]
-            for tau in pencil.roots]
-
-
 def constraint_rows(pencil: PencilCubic, degree: int) -> tuple[list[Exponents], list[list[int]]]:
     """Linear conditions cutting the degree-D system out of the forms near the line.
 
-    The columns are the blocks' monomials x1^(n-b)*x2^b*x3^c*x4^d, graded-lex
-    descending.  The rows say xi^(c+d)*(x1*x2)^d divides each block's form:
-    2d unit rows per block (its d end coefficients at each side vanish), then
-    root by root the contact rows of every block.  At degree 6: 8 rows over 19.
+    The blocks x3^c*x4^d (j = c + d <= D // 4, j ascending, then c descending)
+    hold the columns x1^(n-b)*x2^b*x3^c*x4^d, n = D - j, graded-lex descending.
+    The rows say xi^(c+d)*(x1*x2)^d divides each block's form: 2d unit rows per
+    block (its d end coefficients at each side vanish), then root by root the
+    contact rows of every block.  At degree 6: 8 rows over 19.
     """
-    blocks = _blocks(degree)
+    blocks = [(c, j - c, degree - j) for j in range(degree // 4 + 1) for c in range(j, -1, -1)]
     monomials = sorted(((n - b, b, c, d) for c, d, n in blocks for b in range(n + 1)), reverse=True)
     units = [{(n - b, b, c, d): 1} for c, d, n in blocks for i in range(d) for b in (n - i, i)]
-    table = _contact_table(pencil, degree)
     contacts = [{(n - b, b, c, d): v for b, v in enumerate(row)}
-                for by_j in table for c, d, n in blocks for row in by_j[c + d]]
+                for tau in pencil.roots for c, d, n in blocks for row in _contact_rows(tau, c + d, n)]
     return monomials, [[row.get(e, 0) for e in monomials] for row in units + contacts]
 
 
@@ -310,7 +298,8 @@ def conditions_report(pencil: PencilCubic,
     Block (c, d)'s 2d unit rows are the only rows on its end columns, so the
     rank sums 2d and the rank of its contact rows on the inner columns
     d <= b <= n - d; the dimension is the column count minus the rank.
-    The blocks of one contact order j = c + d share their contact rows and
+    One pass per contact order j = 0..D // 4 takes its blocks (j - d, d),
+    d = 0..j, together: they share the three roots' contact rows and
     n = D - j, and their inner columns are those with |2b - n| <= n - 2d:
     keyed by (|2b - n|, b), each block's inner columns are a prefix of the
     column order.  In row echelon form, whose rows start at distinct pivot
@@ -319,33 +308,29 @@ def conditions_report(pencil: PencilCubic,
     number of pivots inside it.  So one fraction-free echelon per j, over
     its dense rows in that column order, gives every block's rank: Bareiss
     elimination with exact division by the previous pivot (``echelon_pivots``).
-    ``inside`` holds the generators whose blocks lie on inner columns and are
-    annihilated by their contact rows, each block's form a dense list over
-    b = 0..n dotted with that j's rows (the system itself when all do).  The
+    ``inside`` holds the generators whose terms lie on inner columns (c + d <=
+    D // 4 and d <= b <= D - c - 2d) and whose blocks' dense forms over b = 0..n
+    meet their order's contact rows in 0 (the system itself when all do).  The
     conditions cut out the system, ``cut_out``, iff all are inside and its
     rank is the dimension: this is the library's one span comparison.
     """
     degree = system.degree
     rank = columns = 0
-    contacts: dict[int, list[list[int]]] = {}      # per j, every root's dense contact rows
-    pivots: dict[int, list[int]] = {}               # per j, its pivot positions in (|2b - n|, b) order
-    inner: dict[tuple[int, int], range] = {}
-    table = _contact_table(pencil, degree)
-    for c, d, n in _blocks(degree):
-        j = c + d
-        if j not in contacts:
-            contacts[j] = rows = [row for by_j in table for row in by_j[j]]
-            order = sorted(range(n + 1), key=lambda b: (abs(2 * b - n), b))
-            pivots[j] = echelon_pivots([[row[b] for b in order] for row in rows])
-        rank += 2 * d + sum(1 for position in pivots[j] if position <= n - 2 * d)
-        columns += n + 1
-        inner[c, d] = range(d, n - d + 1)
+    contacts: list[list[list[int]]] = []          # by j, every root's dense contact rows
+    for j in range(degree // 4 + 1):
+        n = degree - j
+        rows = [row for tau in pencil.roots for row in _contact_rows(tau, j, n)]
+        order = sorted(range(n + 1), key=lambda b: (abs(2 * b - n), b))
+        pivots = echelon_pivots([[row[b] for b in order] for row in rows])
+        rank += sum(2 * d + sum(p <= n - 2 * d for p in pivots) for d in range(j + 1))
+        columns += (j + 1) * (n + 1)
+        contacts.append(rows)
 
     def is_inside(g: Polynomial) -> bool:
         forms: dict[tuple[int, int], list[Coefficient]] = {}
         for (_, b, c, d), k in _p3_items(g):
-            if b not in inner.get((c, d), ()):       # off the inner columns, or in no block
-                return False
+            if not (c + d <= degree // 4 and d <= b <= degree - c - 2 * d):
+                return False        # off the inner columns, or in no block
             form = forms.get((c, d))
             if form is None:
                 form = forms[c, d] = [0] * (degree - c - d + 1)

@@ -11,8 +11,8 @@ import pytest
 
 import fano72
 from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
-                    build_degree12_system, checks, generators, linalg,
-                    linsys, ratmap, run_all)
+                    build_degree12_system, checks, generators, grading, linalg,
+                    linsys, ratmap, run_all, wps)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
 from fano72.cli import MAX_LISTED, main
@@ -126,6 +126,36 @@ def test_run_all_builds_each_system_once(monkeypatch):
         calls.clear()
         assert all(r.status == "PASS" for r in run_all(VerifyConfig(suite=suite)))
         assert sorted(calls) == expected, suite
+
+
+def test_run_all_lists_the_anticanonical_basis_twice(monkeypatch):
+    # once for the wps suite's basis records and once for the degree-12
+    # pullback; scroll.match.wps counts the monomials without listing them.
+    listed = []
+
+    def counted(weights, degree):
+        listed.append((tuple(weights), degree))
+        return grading.enumerate_monomials(weights, degree)
+
+    for module in (wps, linsys):
+        monkeypatch.setattr(module, "enumerate_monomials", counted)
+    assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
+    assert listed.count(((1, 1, 4, 6), 12)) == 2
+
+
+def test_a_crashed_check_fails_with_its_error_and_fails_the_run(monkeypatch, capsys):
+    def crash(weights, degree):
+        raise RuntimeError("table overflow")
+
+    monkeypatch.setattr(checks, "hilbert_count", crash)
+    records = {r.check_id: r for r in run_all(VerifyConfig(suite="wps"))}
+    crashed = records.pop("wps.hilbert.1146")
+    assert (crashed.status, crashed.computed, crashed.expected) == (
+        "FAIL", "error: table overflow", "39")
+    assert len(records) == 8
+    assert all(r.status == "PASS" for r in records.values())
+    assert main(["verify", "wps"]) == 1
+    assert "1 failed" in capsys.readouterr().out
 
 
 def test_scroll_suite_alone():

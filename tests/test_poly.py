@@ -108,6 +108,19 @@ def test_unchecked_results_equal_the_naive_oracle():
     check()
 
 
+def test_scalars_compare_as_constants_and_foreign_operands_raise_type_error():
+    assert not X1 == 1
+    assert not X1 == "x1"
+    assert Polynomial.constant(P3_VARS, 3) == 3
+    assert Polynomial.constant(P3_VARS, 1) / 2 == Fraction(1, 2)
+    for operation in (lambda: X1 + "a", lambda: "a" - X1, lambda: X1 - None,
+                      lambda: X1 * None, lambda: X1 / X1):
+        with pytest.raises(TypeError):
+            operation()
+    with pytest.raises(ZeroDivisionError):
+        X1 / 0
+
+
 def test_ring_mismatch_is_an_arity_error():
     t = Polynomial.variable(PENCIL_VARS, "t")
     with pytest.raises(ArityError):

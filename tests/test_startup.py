@@ -51,7 +51,16 @@ def test_every_exported_name_is_its_submodule_attribute():
     assert all(hasattr(fano72, name) for name in fano72.__all__)
 
 
+def test_verify_all_loads_no_typing():
+    assert "typing" not in _loaded("-m", "fano72", "verify", "all")
+
+
 def test_submodules_are_attributes_and_unknown_names_are_not():
+    # In a fresh process the package's __getattr__ imports the submodule asked for, alone.
+    loaded = _loaded("-c", "import sys, fano72; "
+                           "assert fano72.linsys is sys.modules['fano72.linsys']")
+    assert "fano72.linsys" in loaded
+    assert not loaded & {"fano72.checks", "fano72.cli", "fano72.bundles", "fano72.wps"}
     for name in fano72._SUBMODULES:
         assert getattr(fano72, name) is importlib.import_module(f"fano72.{name}")
     with pytest.raises(AttributeError, match="no attribute 'hilbert_cont'"):
