@@ -21,12 +21,12 @@ class SplitBundle:
     twists: tuple[int, ...]
 
     def __init__(self, twists):
-        twists = tuple(sorted(twists))
+        twists = tuple(twists)
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         if any(not isinstance(t, int) for t in twists):
             raise ValueError(f"twists must be integers, got {twists}")
-        object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "twists", tuple(sorted(twists)))
 
     @property
     def rank(self) -> int:

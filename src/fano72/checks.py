@@ -292,7 +292,7 @@ def theorem_suite(pencil: PencilCubic, pulled: LinearSystem | None = None) -> li
          "(1, 1, 4, 6)", lambda: str(image_degrees(eta)))
     _run(records, "theorem.rank.pullback", "rank of the pulled-back anticanonical basis",
          "the 39 pulled-back anticanonical monomials are linearly independent",
-         39, lambda: pulled.row_space().rank)
+         39, lambda: pulled.rank)
     _run(records, "theorem.rank.direct", "dimension cut out by the degree-12 conditions",
          "the degree-12 incidence conditions leave a 39-dimensional space of forms",
          39, lambda: report()[1])
@@ -304,7 +304,7 @@ def theorem_suite(pencil: PencilCubic, pulled: LinearSystem | None = None) -> li
          "rank of the pulled-back monomials inside the conditions over the dimension they leave",
          "the pulled-back monomials that satisfy the degree-12 conditions span the whole "
          "space the conditions cut out",
-         "39/39", lambda: f"{report()[2].row_space().rank}/{report()[1]}")
+         "39/39", lambda: f"{report()[2].rank}/{report()[1]}")
 
     _run(records, "theorem.identity", "span identity between the two systems",
          "composing the parametrization with the anticanonical system of "

@@ -74,9 +74,6 @@ def _open_json(path: str | None):
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
-    import json
-    from dataclasses import asdict
-
     from .checks import VerifyConfig, run_all
     config = VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed)
     config.pencil    # a bad pencil stops here, before --json can truncate or create its file
@@ -84,6 +81,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         records = run_all(config)
         _print_records(records)
         if handle:
+            import json
+            from dataclasses import asdict
             handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
     failed = sum(1 for r in records if r.status == "FAIL")
     print(f"{len(records)} checks: {len(records) - failed} passed, "

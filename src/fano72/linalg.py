@@ -14,8 +14,8 @@ positions, or the exponent tuples of one ring in the term dicts of a
 rows are scaled to primitive integer rows (denominators cleared, content
 divided out, entry at the smallest column positive) with no ``Fraction``
 arithmetic, once, at the boundary: a ``LinearSystem`` normalises each
-generator once and its span inserts those rows through the private
-``RowSpace._insert`` as they are.  Elimination uses integer
+generator once and builds its private span with it, inserting those rows
+through ``RowSpace._insert`` as they are.  Elimination uses integer
 cross-multiplication only, so no rounding or pivot-size tolerance exists
 anywhere.  The nullspace is read off the integer reduced row echelon form
 that the same cross-multiplication reaches by back elimination, so its
@@ -171,23 +171,23 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> lis
 
 
 class LinearSystem:
-    """A span of homogeneous degree-d forms in a fixed ring.
+    """A span of homogeneous degree-d forms in a fixed ring, built whole.
 
     Generators are rescaled to primitive integer form (the row normaliser
     ``_to_int_row``: content 1, last term positive), deduplicated, and zero inputs
     dropped; the span is unchanged by any of this.  A generator that is
     primitive already is kept as the same object; only the others are merged
     anew.  So each generator is normalised once, here, and its term dict,
-    keyed by exponent tuple, is its primitive integer row: the span, built
-    lazily, inserts those rows without normalising them again.
+    keyed by exponent tuple, is its primitive integer row: the private span,
+    made here too, inserts those rows without normalising them again, and
+    ``rank`` is its rank.  No slot changes after construction.
     """
 
-    __slots__ = ("ring", "degree", "generators", "_row_space")
+    __slots__ = ("ring", "degree", "generators", "rank", "_span")
 
     def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
         ring = tuple(ring)
-        seen: set[Polynomial] = set()
-        normalized: list[Polynomial] = []
+        primitive: list[Polynomial] = []
         for g in gens:
             if not isinstance(g, Polynomial):
                 raise ArityError("linear system generators must be Polynomials")
@@ -199,14 +199,16 @@ class LinearSystem:
             if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
                 raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
             row = _to_int_row(terms)
-            primitive = g if row == terms else Polynomial._from_valid_terms(ring, row.items())
-            if primitive not in seen:
-                seen.add(primitive)
-                normalized.append(primitive)
+            primitive.append(g if row == terms else Polynomial._from_valid_terms(ring, row.items()))
+        generators = tuple(dict.fromkeys(primitive))
+        span = RowSpace()
+        for g in generators:                # each term dict is a primitive integer row
+            span._insert(g._terms)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", tuple(normalized))
-        object.__setattr__(self, "_row_space", None)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rank", span.rank)
+        object.__setattr__(self, "_span", span)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearSystem is immutable")
@@ -218,17 +220,9 @@ class LinearSystem:
     def coefficient_vector(self, f: Polynomial) -> dict[Exponents, Coefficient]:
         return dict(f.items())
 
-    def row_space(self) -> RowSpace:
-        if self._row_space is None:
-            space = RowSpace()
-            for g in self.generators:       # each term dict is a primitive integer row
-                space._insert(g._terms)
-            object.__setattr__(self, "_row_space", space)
-        return self._row_space
-
     def projective_dim(self) -> int:
         """Rank of the generator matrix minus one; -1 for the empty system."""
-        return self.row_space().rank - 1
+        return self.rank - 1
 
     def member(self, f: Polynomial) -> bool:
         """Exact test for membership of f in the rational span of the generators.
@@ -238,4 +232,4 @@ class LinearSystem:
         """
         if f.ring != self.ring:
             raise ArityError(f"ring mismatch: {f.ring} vs {self.ring}")
-        return self.row_space().contains(self.coefficient_vector(f))
+        return self._span.contains(self.coefficient_vector(f))

@@ -340,7 +340,7 @@ def conditions_report(pencil: PencilCubic,
 
     kept = [g for g in system.generators if is_inside(g)]
     if len(kept) == len(system.generators):
-        return rank, columns - rank, system, system.row_space().rank == columns - rank
+        return rank, columns - rank, system, system.rank == columns - rank
     return rank, columns - rank, LinearSystem(system.ring, system.degree, kept), False
 
 

@@ -8,9 +8,9 @@ graded-lexicographically by the declared variable order, leading term first.
 All arithmetic is exact, so polynomial identities can be tested with ``==``.
 Sums, products, substitutions and exact division merge their terms in one
 shared loop.  The only constructions that skip it are a single term (a
-scalar operand too) and a product with a one-term factor c*x^s: grlex is a
-monomial order, so adding s to every exponent keeps the canonical term order
-and no two terms collide.
+scalar operand too) and a product with a one-term factor c*x^s, ``-f`` and
+``f / c`` among them (s = 0): grlex is a monomial order, so adding s to every
+exponent keeps the canonical term order and no two terms collide.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -101,10 +101,11 @@ class Polynomial:
     ``*``, :func:`substitute_all` and :meth:`exact_divide` build exponents
     from valid ones and hand their raw, possibly colliding terms to the
     same merge loop through the private ``_from_valid_terms``; a single
-    term (``_term``) and a one-term factor's shift (``_shifted``) skip it.
+    term (``_term``) and a one-term factor's shift (``_shifted``: negation and
+    scalar division too) skip it.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: Sequence[str],
                  terms: Mapping[Exponents, Coefficient] | Iterable[tuple[Exponents, Coefficient]] = ()):
@@ -115,7 +116,6 @@ class Polynomial:
             terms = terms.items()
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", _merged_terms(_checked_terms(ring, terms)))
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _canonical(cls, ring: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> Polynomial:
@@ -123,7 +123,6 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     @classmethod
@@ -245,7 +244,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._from_valid_terms(self.ring, ((e, -c) for e, c in self._terms.items()))
+        return self._shifted((0,) * len(self.ring), -1)
 
     def __sub__(self, other) -> Polynomial:
         other = self._coerce(other)
@@ -278,7 +277,7 @@ class Polynomial:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial(self.ring, {e: Fraction(c) / scalar for e, c in self._terms.items()})
+        return self._shifted((0,) * len(self.ring), 1 / Fraction(scalar))
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
@@ -300,9 +299,7 @@ class Polynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ring, tuple(self._terms.items()))))
-        return self._hash
+        return hash((self.ring, tuple(self._terms.items())))
 
     # -- substitution and division -------------------------------------
 

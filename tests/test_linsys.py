@@ -252,7 +252,7 @@ def test_member_accepts_generators_and_combinations():
     assert system.member(random_member(system, rng))
 
 
-def test_member_warns_on_wrong_degree():
+def test_member_refuses_forms_of_another_degree():
     system = build_sextic_system(DEFAULT)
     assert not system.member(X1 ** 5)
     assert not system.member(X1 ** 6 + X2)
@@ -560,18 +560,18 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
 
 
 def _assert_span_agrees_three_ways(system, probes):
-    # The span built from the rows LinearSystem made, a RowSpace that
+    # The private span LinearSystem made from its rows, a RowSpace that
     # normalises the coefficient vectors again, and the dense oracle must
     # give one rank and one membership answer per probe, and leave every
     # generator's terms as they were.  Each generator times -3/7 is a member
     # by construction, so only the probes need the oracle's answer.
     before = [g.items() for g in system.generators]
-    span = system.row_space()
+    span = system._span
     again = RowSpace(system.coefficient_vector(g) for g in system.generators)
     columns = sorted({e for f in (*system.generators, *probes) for e in f.monomials()})
     dense = [[g.coefficient(e) for e in columns] for g in system.generators]
     rank = rref_rank(dense)
-    assert span.rank == again.rank == rank == len(system.generators)
+    assert system.rank == span.rank == again.rank == rank == len(system.generators)
     cases = [(f, rref_rank(dense + [[f.coefficient(e) for e in columns]]) == rank)
              for f in probes]
     cases += [(Fraction(-3, 7) * g, True) for g in system.generators]
@@ -591,6 +591,20 @@ def test_the_span_of_the_stored_rows_is_the_span_of_the_generators(roots):
         system = build(pencil)
         _assert_span_agrees_three_ways(system, special)
     assert [build_degree12_system(pencil).member(f) for f in special] == [True, True, False]
+
+
+def test_a_built_system_hands_out_no_span_and_changes_no_slot():
+    # The span is made with the generators and stays private: no attribute
+    # returns it, and no slot, rank included, can be set afterwards.
+    system = build_sextic_system(DEFAULT)
+    assert not hasattr(system, "row_space")
+    assert not any(isinstance(getattr(system, name), RowSpace)
+                   for name in dir(system) if not name.startswith("_"))
+    with pytest.raises(AttributeError):
+        system.rank = 0
+    assert (len(system.generators), system.rank, system.projective_dim()) == (11, 11, 10)
+    assert not system.member(X4 ** 6)
+    assert conditions_report(DEFAULT, system)[3]
 
 
 def test_hand_made_generators_are_normalised_once_into_their_span():
@@ -625,14 +639,15 @@ def test_a_span_normalises_each_generator_once(monkeypatch):
     monkeypatch.setattr(linalg, "_to_int_row", counted)
     for build, count in ((build_degree12_system, 39), (build_sextic_system, 11)):
         calls.clear()
-        assert build(DEFAULT).row_space().rank == count
+        assert build(DEFAULT).rank == count
         assert len(calls) == count, build.__name__
 
 
 def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):
-    # A scalar operand is one trusted term, so c * g is a plain shift, and the
-    # pencil's product starts from its scale the same way: no caller terms to
-    # check anywhere in a random member, a scaled generator or a pencil.
+    # A scalar operand is one trusted term, so c * g, -g and g / c are plain
+    # shifts, and the pencil's product starts from its scale the same way: no
+    # caller terms to check anywhere in a random member, a scaled, negated or
+    # divided generator or a pencil.
     checked = []
     check = poly._checked_terms
 
@@ -645,9 +660,13 @@ def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):
     monkeypatch.setattr(poly, "_checked_terms", counted)
     member = random_member(system, random.Random(5))
     scaled = Fraction(-3, 4) * g
+    negated = -g
+    divided = g / 3
     pencil = PencilCubic.from_roots((Fraction(1, 2), -3, 7), Fraction(5, 2))
     assert checked == []
     assert scaled == Polynomial(P3_VARS, {e: Fraction(-3, 4) * k for e, k in g.items()})
+    assert negated == Polynomial(P3_VARS, {e: -k for e, k in g.items()})
+    assert divided == Polynomial(P3_VARS, {e: Fraction(k, 3) for e, k in g.items()})
     assert system.member(member)
     assert pencil.cubic.coefficient((0, 3, 0, 0)) == Fraction(5, 2)
 
@@ -698,7 +717,7 @@ def test_inadmissible_roots_lose_conditions_and_the_span(roots, ranks):
         system = build(pencil)
         assert not conditions_report(pencil, system)[3]
         assert len(solve_constraints(pencil, degree).generators) == len(monomials) - rank \
-            > system.row_space().rank
+            > system.rank
 
 
 # -- the certificate: rank of the conditions and annihilation -----------------------
@@ -715,7 +734,7 @@ def test_conditions_report_agrees_with_the_dense_rank_and_the_solutions(roots, d
     assert dimension == len(monomials) - rank == len(solve_constraints(pencil, degree).generators)
     assert (rank, dimension) == {6: (8, 11), 12: (71, 39)}[degree]
     assert inside is system
-    assert system.row_space().rank == dimension
+    assert system.rank == dimension
     assert cut_out
 
 
@@ -733,7 +752,7 @@ def test_conditions_report_on_inadmissible_roots_fails_the_equality(roots, ranks
         _, _, inside, cut_out = report
         assert not cut_out
         assert not (inside.generators == system.generators
-                    and system.row_space().rank == dimension)
+                    and system.rank == dimension)
         # inside holds exactly the generators whose coefficient vectors lie on the
         # conditions' columns and meet every row in 0.  Against their own weakened
         # conditions all are inside; against the default pencil's, only some are.
@@ -774,11 +793,9 @@ def test_conditions_rank_on_degenerate_roots_matches_the_dense_oracle():
 def test_the_certificate_takes_no_gcd_pass(monkeypatch, roots):
     # The conditions' ranks come from one fraction-free echelon per contact
     # order: no sparse elimination and no content division.  The system's own
-    # rank is its row space, made before the count starts.
+    # rank was read when it was built, before the count starts.
     pencil = PencilCubic.from_roots(roots)
     systems = [build_sextic_system(pencil), build_degree12_system(pencil)]
-    for system in systems:
-        system.row_space()
     calls = []
     for name in ("_eliminate", "_primitive"):
         def counted(*args, name=name, original=getattr(linalg, name)):

@@ -157,7 +157,7 @@ def test_span_identity_for_the_default_pencil():
     # the conditions cut out both, so the two spans are one
     basis = WeightedProjectiveSpace((1, 1, 4, 6)).anticanonical_basis()
     pulled, solved = pullback_system(ETA, basis), solve_constraints(DEFAULT, 12)
-    assert pulled.row_space().rank == solved.row_space().rank == 39
+    assert pulled.rank == solved.rank == 39
     assert conditions_report(DEFAULT, pulled)[3]
     assert conditions_report(DEFAULT, solved)[3]
 
@@ -168,7 +168,7 @@ def test_span_identity_for_other_pencils():
         pencil = PencilCubic.from_roots(roots)
         pulled = pullback_system(weighted_parametrization(pencil), basis)
         direct = LinearSystem(P3_VARS, 12, degree12_shapes(pencil))    # written by hand
-        assert pulled.row_space().rank == 39
+        assert pulled.rank == 39
         assert set(pulled.generators) == set(direct.generators)
         assert conditions_report(pencil, pulled)[3]
         assert conditions_report(pencil, solve_constraints(pencil, 12))[3]
@@ -183,7 +183,7 @@ def test_tampered_system_fails_with_named_offender():
     _, dimension, inside, cut_out = conditions_report(DEFAULT, tampered)
     assert not cut_out
     assert inside is tampered       # what is left satisfies the conditions, but is too small
-    assert (pulled.row_space().rank, tampered.row_space().rank, dimension) == (39, 38, 39)
+    assert (pulled.rank, tampered.rank, dimension) == (39, 38, 39)
     missing = [g for g in pulled.generators if not tampered.member(g)]
     assert missing == [X2 ** 12]
     assert all(pulled.member(g) for g in tampered.generators)

@@ -1,0 +1,79 @@
+"""Every refusal of caller input, and the reprs, in one table.
+
+Each row calls the public API with one bad input (or asks for a repr) and
+names the error and message it must meet (or the text it must return).
+"""
+
+import re
+
+import pytest
+
+from fano72 import (ANY_DEGREE, ArityError, InvalidPencilError, LinearSystem, P3_VARS,
+                    PencilCubic, Polynomial, RuledClass, SplitBundle, SubstitutionError,
+                    WeightedProjectiveSpace, coordinate_plane_residual, generators,
+                    is_homogeneous, substitute_all)
+
+X1, X2, X3, X4 = generators(P3_VARS)
+XY = Polynomial.variable(("x", "y"), "x")
+
+
+CASES = {
+    # LinearSystem
+    "system-non-polynomial": (lambda: LinearSystem(P3_VARS, 1, [1]),
+                              ArityError, "linear system generators must be Polynomials"),
+    "system-ring": (lambda: LinearSystem(P3_VARS, 1, [XY]),
+                    ArityError, "generator ring ('x', 'y') does not match system ring"),
+    **{f"system-set-{name}": (lambda name=name: setattr(LinearSystem(P3_VARS, 1, [X1]), name, 0),
+                              AttributeError, "LinearSystem is immutable")
+       for name in ("ring", "degree", "generators", "rank", "_span", "row_space")},
+    "system-repr": (lambda: repr(LinearSystem(P3_VARS, 1, [X1, 2 * X1, X2])), None,
+                    "LinearSystem(degree=1, generators=2, ring=('x1', 'x2', 'x3', 'x4'))"),
+    "member-ring": (lambda: LinearSystem(P3_VARS, 1, [X1]).member(XY),
+                    ArityError, "ring mismatch"),
+    # PencilCubic and the coordinate planes
+    "pencil-two-roots": (lambda: PencilCubic.from_roots((1, 2)),
+                         InvalidPencilError, "need exactly three pencil roots, got 2"),
+    "pencil-scale-zero": (lambda: PencilCubic.from_roots((1, 2, 3), 0),
+                          InvalidPencilError, "the pencil cubic must be nonzero"),
+    "pencil-ring": (lambda: PencilCubic.from_polynomial(XY ** 3),
+                    InvalidPencilError, "the pencil cubic must live in the ring"),
+    "residual-plane": (lambda: coordinate_plane_residual(X1 ** 6, "x3"),
+                       ValueError, "the coordinate planes of the pencil are x1 = 0 and x2 = 0"),
+    # Polynomial
+    "poly-empty-ring": (lambda: Polynomial(()),
+                        ValueError, "a polynomial ring needs at least one variable"),
+    "poly-variable": (lambda: Polynomial.variable(P3_VARS, "z"),
+                      ArityError, "variable 'z' is not in the ring"),
+    "poly-zero-lead": (lambda: Polynomial.zero(P3_VARS).leading_term(),
+                       ValueError, "the zero polynomial has no leading term"),
+    "poly-uses-variable": (lambda: X1.uses_variable("z"),
+                           ArityError, "variable 'z' is not in the ring"),
+    "poly-divide-text": (lambda: X1.exact_divide("x"),
+                         ArityError, "exact_divide requires a polynomial divisor"),
+    "substitute-no-image": (lambda: substitute_all([X1], {}), SubstitutionError,
+                            "substitution needs at least one image to fix the target ring"),
+    "substitute-scalar-image": (lambda: substitute_all([X1], {"x1": 1}),
+                                SubstitutionError, "image of 'x1' is not a Polynomial"),
+    "any-degree-repr": (lambda: repr(ANY_DEGREE), None, "ANY_DEGREE"),
+    "homogeneous-arity": (lambda: is_homogeneous(X1, (1, 1)), ArityError,
+                          "ring arity 4 does not match weight arity 2"),
+    # weighted projective spaces and bundles
+    "wps-repr": (lambda: repr(WeightedProjectiveSpace((1, 1, 4, 6))), None, "P(1, 1, 4, 6)"),
+    "bundle-text-twist": (lambda: SplitBundle((1, "a")),
+                          ValueError, "twists must be integers, got (1, 'a')"),
+    "bundle-float-twist": (lambda: SplitBundle((2, 1.5)),
+                           ValueError, "twists must be integers, got (2, 1.5)"),
+    "ruled-negative-e": (lambda: RuledClass(-1, 0, 0), ValueError,
+                         "the Hirzebruch invariant e must be a natural number"),
+    "ruled-intersect-int": (lambda: RuledClass(0, 1, 0).intersect(3),
+                            TypeError, "intersect expects another RuledClass"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES)
+def test_each_refusal_and_repr(call, error, message):
+    if error is None:
+        assert call() == message
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            call()

@@ -55,6 +55,10 @@ def test_verify_all_loads_no_typing():
     assert "typing" not in _loaded("-m", "fano72", "verify", "all")
 
 
+def test_verify_without_json_output_loads_no_json():
+    assert "json" not in _loaded("-m", "fano72", "verify", "all")
+
+
 def test_submodules_are_attributes_and_unknown_names_are_not():
     # In a fresh process the package's __getattr__ imports the submodule asked for, alone.
     loaded = _loaded("-c", "import sys, fano72; "

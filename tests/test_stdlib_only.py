@@ -1,5 +1,6 @@
 """The runtime imports the standard library only, never the test oracles, and
-holds no assert statement (python -O strips them).  Its own modules import
+holds no assert statement (python -O strips them); it calls
+``object.__setattr__`` only in constructors.  Its own modules import
 each other one way, at module level: a stack with ``grading`` and ``bundles``
 at the bottom, ``cli`` the only module importing inside its functions."""
 
@@ -54,6 +55,22 @@ def test_runtime_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_object_setattr_runs_only_in_constructors():
+    # Immutable values set every slot once, as they are built: no slot is
+    # filled later, lazily or otherwise.
+    constructors = {"__init__", "__post_init__", "_canonical"}
+    outside = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        built = {id(node) for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef) and function.name in constructors
+                 for node in ast.walk(function)}
+        outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and id(node) not in built
+                    and ast.unparse(node.func) == "object.__setattr__"]
+    assert not outside, f"slots set outside a constructor at {outside}"
 
 
 def test_package_imports_form_a_one_way_stack():
