@@ -23,7 +23,7 @@ from time import perf_counter
 
 from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .bundles import RuledClass, SplitBundle, system_dim
-from .grading import hilbert_count
+from .grading import clip, hilbert_count
 from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
                      X3, X4, build_degree12_system, build_sextic_system,
                      conditions_report, coordinate_plane_residual, factor_out,
@@ -319,7 +319,7 @@ def run_all(config: VerifyConfig) -> list[CheckRecord]:
     suite = config.suite or "all"
     if suite not in ("all",) + SUITES + EXTRA_SUITES:
         raise ConfigurationError(
-            f"unknown suite {suite[:20]!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")
+            f"unknown suite {clip(suite)!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")
     rng = random.Random(config.seed)
     records: list[CheckRecord] = []
     if suite in ("all", "wps"):

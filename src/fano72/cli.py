@@ -15,7 +15,7 @@ from time import perf_counter
 # Each command imports what only it runs (the certifier for verify, wps for wps),
 # so hilbert loads cli and grading alone.
 from . import EXTRA_SUITES, SUITES, ConfigurationError
-from .grading import enumerate_monomials, hilbert_count, monomial_text
+from .grading import clip, enumerate_monomials, hilbert_count, monomial_text
 
 # Most monomials `hilbert --list` or `wps --basis` prints, checked from the count,
 # and most exponents (monomials times weights): each monomial is a tuple of k of them.
@@ -31,7 +31,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
             weights.append(int(part))
         except ValueError:
             raise ConfigurationError(f"weights must be a comma-separated integer list, "
-                                     f"got {part[:20]!r} at entry {index} of {len(parts)}")
+                                     f"got {clip(part)!r} at entry {index} of {len(parts)}")
     return tuple(weights)
 
 
@@ -42,9 +42,8 @@ def _count(weights: tuple[int, ...], degree: int, listing: str | None) -> int:
     except ValueError as error:
         raise ConfigurationError(str(error))
     if listing and (count > MAX_LISTED or count * len(weights) > MAX_LISTED_EXPONENTS):
-        digits = str(count) if count < 10 ** 20 else f"{str(count)[:20]}..."
-        raise ConfigurationError(f"{listing} would print {digits} monomials of {len(weights)} "
-                                 f"exponents, past the caps {MAX_LISTED} and {MAX_LISTED_EXPONENTS}")
+        raise ConfigurationError(f"{listing} would print {clip(count)} monomials of "
+                                 f"{len(weights)} exponents, past the caps {MAX_LISTED} and {MAX_LISTED_EXPONENTS}")
     return count
 
 
@@ -68,7 +67,7 @@ def _open_json(path: str | None):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as error:
-        raise ConfigurationError(f"cannot write --json output {path!r}: {error.strerror}")
+        raise ConfigurationError(f"cannot write --json output {clip(path, 60)!r}: {error.strerror}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -126,8 +125,7 @@ def cmd_wps(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """One configuration-error line: words cut to 20 characters, the line to 160."""
-        text = " ".join(w if len(w) <= 20 else w[:20] + "..." for w in message.split())
-        raise ConfigurationError(text if len(text) <= 160 else text[:160] + "...")
+        raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
 
     def _get_values(self, action, arg_strings):
         # argparse (CPython 3.11) strips a value of exactly "--", as in --degree=--, and

@@ -7,7 +7,8 @@ system gives each ring variable a positive integer degree.
 ``hilbert_count`` counts it by the coin-change table in O(k*d) time and O(d)
 memory for k weights and degree d: two cross-checking routes to one number,
 neither keeping a memo.  Both refuse degrees above ``MAX_DEGREE``, and the
-count refuses tables of more than 4 * ``MAX_DEGREE`` additions.
+count refuses tables of more than 4 * ``MAX_DEGREE`` additions.  ``clip``
+is the one rule for how much of a refused value a message quotes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
                     for name, e in compress(zip(names, exponents), exponents))
 
 
+def clip(value: object, limit: int = 20) -> str:
+    """The text of value, cut to ``limit`` characters followed by ``...`` when longer."""
+    text = str(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     """The weights as a tuple, checked to be nonempty integers >= 1, one per variable."""
     weights = tuple(weights)
@@ -38,7 +45,7 @@ def check_weights(weights: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("a weight system must be nonempty")
     for index, w in enumerate(weights):
         if not isinstance(w, int) or w < 1:
-            raise ValueError(f"weights must be integers >= 1, got {w!r} "
+            raise ValueError(f"weights must be integers >= 1, got {clip(repr(w))} "
                              f"at entry {index} of {len(weights)}")
     return weights
 
@@ -50,10 +57,10 @@ MAX_DEGREE = 10 ** 6
 
 
 def _check_degree(degree: int) -> None:
-    if degree < 0:
+    if not isinstance(degree, int) or degree < 0:
         raise ValueError("degree must be a natural number")
     if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+        raise ValueError(f"degree {clip(degree)} exceeds the cap of {MAX_DEGREE}")
 
 
 def enumerate_monomials(weights: Sequence[int], degree: int) -> list[Exponents]:

@@ -25,7 +25,7 @@ from functools import reduce
 from math import comb, lcm
 from operator import mul
 
-from .grading import enumerate_monomials
+from .grading import clip, enumerate_monomials
 from .linalg import LinearSystem, echelon_pivots, nullspace_basis
 from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
                    Polynomial, generators, is_homogeneous, parse_polynomial)
@@ -45,11 +45,6 @@ class InvalidPencilError(ValueError):
 # denominator: at the cap a root search takes about 0.4 s on a 2-core x86 host
 # (CPython 3.11), and its cost grows faster than the square of the bit length.
 MAX_COEFFICIENT_BITS = 1024
-
-
-def _shown(f: Polynomial) -> str:
-    """The text of f cut to 60 characters: within the cap a cubic's runs to 1.2 kB."""
-    return str(f) if len(str(f)) <= 60 else str(f)[:60] + "..."
 
 
 # -- rational roots of the pencil cubic ----------------------------------
@@ -111,7 +106,7 @@ class PencilCubic:
             raise InvalidPencilError(f"need exactly three pencil roots, got {len(roots)}")
         if len(set(roots)) != 3:
             raise InvalidPencilError(
-                f"pencil roots must be pairwise distinct, got {', '.join(map(str, roots))}")
+                f"pencil roots must be pairwise distinct, got {', '.join(map(clip, roots))}")
         if any(r == 0 for r in roots):
             raise InvalidPencilError("pencil roots must be nonzero (the plane x2 = 0 is reserved)")
         if scale == 0:
@@ -145,10 +140,10 @@ class PencilCubic:
                 f"more than the cap of {MAX_COEFFICIENT_BITS}")
         roots = _rational_roots(coeffs)
         if len(roots) != 3:
-            raise InvalidPencilError(f"the cubic {_shown(f)} does not split into rational planes")
+            raise InvalidPencilError(f"the cubic {clip(f, 60)} does not split into rational planes")
         pencil = cls.from_roots(roots, scale)
         if pencil.cubic != f:
-            raise InvalidPencilError(f"the cubic {_shown(f)} is not the product of its root planes")
+            raise InvalidPencilError(f"the cubic {clip(f, 60)} is not the product of its root planes")
         return pencil
 
     @classmethod
@@ -196,8 +191,8 @@ def restrict_to_pencil(f: Polynomial) -> Polynomial:
 
 def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
     """Divide f exactly by name**power, or raise ExactDivisionError."""
-    if power < 0:
-        raise ValueError(f"factor_out needs a natural power, got {power}")
+    if not isinstance(power, int) or power < 0:
+        raise ValueError(f"factor_out needs a natural power, got {clip(power)}")
     i = f._index(name)
     if any(e[i] < power for e in f.monomials()):
         raise ExactDivisionError(f"{name}^{power} does not divide {f}")
@@ -243,8 +238,6 @@ def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
     i = P3_VARS.index(plane)
     restricted = Polynomial._from_valid_terms(P3_VARS, ((e, k) for e, k in _p3_items(f)
                                                         if not e[i]))
-    if restricted.is_zero:
-        return restricted
     return factor_out(restricted, other, 5)
 
 

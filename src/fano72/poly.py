@@ -36,7 +36,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from operator import add, mul
 
-from .grading import Exponents, check_weights, grlex_key, monomial_text
+from .grading import Exponents, check_weights, clip, grlex_key, monomial_text
 
 Coefficient = int | Fraction
 
@@ -474,7 +474,7 @@ def _integer(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:  # the only literals int() refuses are over-long ones
-        raise ParseError(f"integer literal {digits.strip()[:20]!r} is longer than "
+        raise ParseError(f"integer literal {clip(digits.strip())!r} is longer than "
                          f"int()'s limit of {sys.get_int_max_str_digits()} digits") from None
 
 
@@ -485,7 +485,7 @@ def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
     stop = match.end() if match else 0
     if match is None or stop < len(text):
         raise ParseError(f"polynomial text does not match the grammar at column {stop + 1}: "
-                         f"{text[stop:stop + 20]!r}")
+                         f"{clip(text[stop:])!r}")
     terms: list[tuple[Exponents, Fraction]] = []
     for sign, body in re.findall(r"\s*([-+]?)([^-+]+)", text):
         coefficient = Fraction(-1 if sign == "-" else 1)
@@ -502,7 +502,7 @@ def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
                 name, _, power = piece.partition("^")
                 name = name.rstrip()
                 if name not in ring:
-                    raise ParseError(f"variable {name[:20]!r} is not declared in the ring {ring}")
+                    raise ParseError(f"variable {clip(name)!r} is not declared in the ring {ring}")
                 exponents[ring.index(name)] += _integer(power) if power else 1
         terms.append((tuple(exponents), coefficient))
     return Polynomial(ring, terms)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 
-from .grading import Exponents, check_weights, enumerate_monomials
+from .grading import Exponents, check_weights, clip, enumerate_monomials
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,8 +33,8 @@ class WeightedProjectiveSpace:
         for omit in range(len(ws)):
             g = gcd(before[omit], after[omit + 1])
             if g != 1:
-                raise ValueError(f"weight {ws[omit]} at entry {omit} of {len(ws)} breaks "
-                                 f"well-formedness: omitting entry {omit} leaves gcd {g}")
+                raise ValueError(f"weight {clip(ws[omit])} at entry {omit} of {len(ws)} breaks "
+                                 f"well-formedness: omitting entry {omit} leaves gcd {clip(g)}")
         object.__setattr__(self, "weights", ws)
 
     def __repr__(self) -> str:

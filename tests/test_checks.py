@@ -319,6 +319,9 @@ def test_cli_lists_past_a_large_last_weight_in_linear_time(capsys):
 
 
 OVER_LONG = "1" * 5000
+EIGHTS = "8" * 4000
+# (x2 - a*x1)^2 * (x2 - b*x1): a double root of 101 digits, inside the bit cap
+DOUBLED_TALL = str((X2 - (10 ** 100 + 267) * X1) ** 2 * (X2 - (10 ** 99 + 289) * X1))
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +346,12 @@ OVER_LONG = "1" * 5000
     ["wps", "--weights=--"],
     ["verify", "all", "--xi=--"],
     ["verify", "all", "--seed=--"],
+    ["hilbert", "--weights", "1,1", "--degree", "9" * 4000],
+    ["hilbert", "--weights=-" + "9" * 4000 + ",1", "--degree", "3"],
+    ["wps", "--weights", f"{EIGHTS},{EIGHTS},1"],
+    ["wps", "--weights", f"1,1,{EIGHTS}"],
+    ["verify", "wps", "--json", "/nonexistent/" + "a" * 5000],
+    ["verify", "--xi", DOUBLED_TALL],
 ], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
         "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
         "hilbert-non-integer-weight", "hilbert-weight-over-int-limit",
@@ -350,7 +359,9 @@ OVER_LONG = "1" * 5000
         "many-unrecognized-arguments", "wps-basis-of-a-900-digit-count",
         "hilbert-list-of-a-1200-digit-count", "wps-self-intersection-over-4300-digits",
         "hilbert-list-over-the-exponent-cap", "degree-double-dash", "weights-double-dash",
-        "xi-double-dash", "seed-double-dash"])
+        "xi-double-dash", "seed-double-dash", "degree-of-4000-digits",
+        "weight-of-4000-digits", "wps-gcd-of-4000-digits", "wps-degree-of-4000-digits",
+        "json-path-of-5000-characters", "pencil-double-root-of-101-digits"])
 def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     started = time.perf_counter()
     assert main(argv) == 2
@@ -375,14 +386,17 @@ def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
     cubic = st.one_of(
         st.builds(product, st.integers(-9, 9), st.lists(plane, min_size=3, max_size=3)),
         st.text("x12^*/+- 0379", max_size=30))
-    weights = st.one_of(st.lists(st.integers(-2, 40), min_size=1, max_size=6).map(
+    # integers of up to 4000 digits, under int()'s 4300-digit limit
+    huge = st.integers(-10 ** 4000 + 1, 10 ** 4000 - 1)
+    weights = st.one_of(st.lists(st.integers(-2, 40) | huge, min_size=1, max_size=6).map(
                             lambda ws: ",".join(map(str, ws))),
                         st.text("0123,a -", max_size=20),
                         st.builds(lambda w, n: ",".join([str(w)] * n),
                                   st.integers(1, 3), st.integers(1, 1500)))
 
     def integer_text(low, high):
-        return st.one_of(st.integers(low, high).map(str), st.text("0129-+ .e_a\n", max_size=12))
+        return st.one_of(st.integers(low, high).map(str), huge.map(str),
+                         st.text("0129-+ .e_a\n", max_size=12))
 
     argv = st.one_of(st.builds(lambda xi, seed: ["verify", "wps", f"--xi={xi}", f"--seed={seed}"],
                                cubic, integer_text(-5, 10 ** 6)),
@@ -403,6 +417,7 @@ def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
         if code == 2:
             assert err.startswith("configuration error: ")
             assert err.count("\n") == 1
+            assert len(err.encode()) < 200
 
     check()
 

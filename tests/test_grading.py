@@ -4,7 +4,7 @@ import pytest
 
 from fano72 import (ANY_DEGREE, Polynomial, check_weights, enumerate_monomials,
                     generators, hilbert_count, is_homogeneous)
-from fano72.grading import MAX_DEGREE
+from fano72.grading import MAX_DEGREE, clip
 from fano72.poly import grlex_key
 
 from oracles import (brute_force_monomials, closed_sum_count,
@@ -99,6 +99,13 @@ def test_degree_cap():
             count((1,), MAX_DEGREE + 1)
         with pytest.raises(ValueError, match="natural number"):
             count((1,), -1)
+
+
+def test_clip_cuts_the_text_past_its_limit():
+    assert clip("a" * 20) == "a" * 20
+    assert clip("a" * 21) == "a" * 20 + "..."
+    assert clip(10 ** 60, 60) == str(10 ** 60)[:60] + "..."
+    assert clip(-7) == "-7"
 
 
 def test_table_work_cap():

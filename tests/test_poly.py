@@ -348,12 +348,12 @@ def test_parse_rejects_bad_input():
 def test_parse_errors_name_the_column_and_stay_short():
     grammar = "polynomial text does not match the grammar at column "
     for text, message in (
-            ("x1 + x2 & " + "x3 + " * 10 ** 4 + "x4", grammar + "9: '& x3 + x3 + x3 + x3 '"),
+            ("x1 + x2 & " + "x3 + " * 10 ** 4 + "x4", grammar + "9: '& x3 + x3 + x3 + x3 ...'"),
             ("2*3", grammar + "2: '*3'"),
             ("x1 +", grammar + "4: '+'"),
             ("", grammar + "1: ''"),
             ("  *x1", grammar + "1: '  *x1'"),
-            ("x1 + " + "y" * 10 ** 4, "variable 'yyyyyyyyyyyyyyyyyyyy' is not declared "
+            ("x1 + " + "y" * 10 ** 4, "variable 'yyyyyyyyyyyyyyyyyyyy...' is not declared "
                                       "in the ring ('x1', 'x2', 'x3', 'x4')"),
             ("x2 - 1/00", "expected a positive integer denominator after '/'")):
         with pytest.raises(ParseError) as error:

@@ -10,8 +10,8 @@ import pytest
 
 from fano72 import (ANY_DEGREE, ArityError, InvalidPencilError, LinearSystem, P3_VARS,
                     PencilCubic, Polynomial, RuledClass, SplitBundle, SubstitutionError,
-                    WeightedProjectiveSpace, coordinate_plane_residual, generators,
-                    is_homogeneous, substitute_all)
+                    WeightedProjectiveSpace, coordinate_plane_residual, enumerate_monomials,
+                    factor_out, generators, hilbert_count, is_homogeneous, substitute_all)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 XY = Polynomial.variable(("x", "y"), "x")
@@ -39,6 +39,15 @@ CASES = {
                     InvalidPencilError, "the pencil cubic must live in the ring"),
     "residual-plane": (lambda: coordinate_plane_residual(X1 ** 6, "x3"),
                        ValueError, "the coordinate planes of the pencil are x1 = 0 and x2 = 0"),
+    "factor-out-float-power": (lambda: factor_out(X1 ** 2 * X2, "x1", 1.0),
+                               ValueError, "factor_out needs a natural power, got 1.0"),
+    # graded pieces: a degree is an int, as a power is
+    "enumerate-float-degree": (lambda: enumerate_monomials((1, 2), 4.0),
+                               ValueError, "degree must be a natural number"),
+    "enumerate-fractional-degree": (lambda: enumerate_monomials((1, 1), 2.5),
+                                    ValueError, "degree must be a natural number"),
+    "hilbert-fractional-degree": (lambda: hilbert_count((1, 1), 2.5),
+                                  ValueError, "degree must be a natural number"),
     # Polynomial
     "poly-empty-ring": (lambda: Polynomial(()),
                         ValueError, "a polynomial ring needs at least one variable"),

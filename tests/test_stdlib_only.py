@@ -1,6 +1,7 @@
 """The runtime imports the standard library only, never the test oracles, and
 holds no assert statement (python -O strips them); it calls
-``object.__setattr__`` only in constructors.  Its own modules import
+``object.__setattr__`` only in constructors, and cuts a quoted value only
+through ``grading.clip``.  Its own modules import
 each other one way, at module level: a stack with ``grading`` and ``bundles``
 at the bottom, ``cli`` the only module importing inside its functions."""
 
@@ -71,6 +72,22 @@ def test_object_setattr_runs_only_in_constructors():
                     if isinstance(node, ast.Call) and id(node) not in built
                     and ast.unparse(node.func) == "object.__setattr__"]
     assert not outside, f"slots set outside a constructor at {outside}"
+
+
+def test_refused_values_are_cut_only_by_clip():
+    # grading.clip is the one rule for how much of a value a message quotes: no
+    # f-string cuts a value to an upper bound itself (a suffix, text[stop:], is fine).
+    cut = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        cut += [f"{path.name}:{node.lineno}" for string in ast.walk(tree)
+                if isinstance(string, ast.JoinedStr) for node in ast.walk(string)
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+                and node.slice.upper is not None]
+    assert not cut, f"f-strings slice a value at {cut}"
+    linsys = ast.parse((SOURCES[0].parent / "linsys.py").read_text(encoding="utf-8"))
+    assert "_shown" not in {node.name for node in ast.walk(linsys)
+                            if isinstance(node, ast.FunctionDef)}
 
 
 def test_package_imports_form_a_one_way_stack():
