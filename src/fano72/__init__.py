@@ -33,7 +33,7 @@ _EXPORTS = {name: module for module, names in {
                "coordinate_plane_residual", "factor_out", "is_scalar_multiple",
                "multiplicity_along_line", "random_member", "restrict_to_pencil",
                "restrict_to_pencil_plane", "solve_constraints", "solve_sextic_constraints"),
-    "poly": ("ANY_DEGREE", "ArityError", "ExactDivisionError", "ParseError", "Polynomial",
+    "poly": ("ArityError", "ExactDivisionError", "ParseError", "Polynomial",
              "SubstitutionError", "generators", "is_homogeneous", "parse_polynomial",
              "substitute_all"),
     "ratmap": ("GradingError", "TARGET_VARS", "image_degrees", "pullback_system",

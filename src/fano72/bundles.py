@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .grading import clip
+
 
 @dataclass(frozen=True)
 class SplitBundle:
@@ -25,7 +27,7 @@ class SplitBundle:
         if not twists:
             raise ValueError("a split bundle needs at least one summand")
         if any(not isinstance(t, int) for t in twists):
-            raise ValueError(f"twists must be integers, got {twists}")
+            raise ValueError(f"twists must be integers, got {clip(twists)}")
         object.__setattr__(self, "twists", tuple(sorted(twists)))
 
     @property
@@ -34,7 +36,7 @@ class SplitBundle:
 
     def sym_power(self, m: int) -> SplitBundle:
         """m-th symmetric power: all sums of m twists with repetition."""
-        if m < 0:
+        if not isinstance(m, int) or m < 0:
             raise ValueError("symmetric power requires a natural exponent")
         return SplitBundle(sum(choice) for choice
                            in combinations_with_replacement(self.twists, m))
@@ -66,6 +68,8 @@ class RuledClass:
     b: int
 
     def __post_init__(self):
+        if any(not isinstance(v, int) for v in (self.e, self.a, self.b)):
+            raise ValueError(f"e, a and b must be integers, got {clip((self.e, self.a, self.b))}")
         if self.e < 0:
             raise ValueError("the Hirzebruch invariant e must be a natural number")
 

@@ -316,7 +316,7 @@ def theorem_suite(pencil: PencilCubic, pulled: LinearSystem | None = None) -> li
 def run_all(config: VerifyConfig) -> list[CheckRecord]:
     """Run the selected suites in declaration order and return all records."""
     pencil = config.pencil
-    suite = config.suite or "all"
+    suite = config.suite
     if suite not in ("all",) + SUITES + EXTRA_SUITES:
         raise ConfigurationError(
             f"unknown suite {clip(suite)!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")

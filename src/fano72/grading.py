@@ -33,8 +33,15 @@ def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:
 
 
 def clip(value: object, limit: int = 20) -> str:
-    """The text of value, cut to ``limit`` characters followed by ``...`` when longer."""
-    text = str(value)
+    """The text of value, cut to ``limit`` characters followed by ``...`` when longer.
+
+    Never raises: a value whose ``str()`` refuses, as an int past CPython's
+    4300-digit limit or a Fraction or polynomial holding one, reads as a fixed text.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        return "<int too long to print>"
     return text if len(text) <= limit else text[:limit] + "..."
 
 

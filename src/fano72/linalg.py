@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
+from .grading import clip
 from .poly import ArityError, Coefficient, Exponents, Polynomial
 
 IntRow = dict[Hashable, int]
@@ -193,11 +194,12 @@ class LinearSystem:
                 raise ArityError("linear system generators must be Polynomials")
             if g.ring != ring:
                 raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
-            if g.is_zero:
+            if not g:
                 continue
             terms = g._terms
             if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
-                raise ValueError(f"generator {g} is not homogeneous of degree {degree}")
+                raise ValueError(f"generator {clip(g, 60)} is not homogeneous "
+                                 f"of degree {clip(degree)}")
             row = _to_int_row(terms)
             primitive.append(g if row == terms else Polynomial._from_valid_terms(ring, row.items()))
         generators = tuple(dict.fromkeys(primitive))

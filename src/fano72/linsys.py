@@ -19,7 +19,7 @@ solves them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
@@ -88,12 +88,12 @@ class PencilCubic:
 
     The cubic factors exactly as scale * (x2 - t1*x1)(x2 - t2*x1)(x2 - t3*x1)
     with the roots t_i pairwise distinct, nonzero, and rational, so none of
-    the three planes coincides with x1 = 0, x2 = 0, or each other.
+    the three planes coincides with x1 = 0, x2 = 0, or each other.  It stores
+    the cubic and its roots, ascending; the scale is the cubic's x2^3 coefficient.
     """
 
     cubic: Polynomial
-    roots: tuple[Fraction, ...] = field(compare=False)    # determined by the cubic
-    scale: Fraction = field(compare=False)
+    roots: tuple[Fraction, ...]
 
     def __repr__(self) -> str:
         return f"PencilCubic({self.cubic})"
@@ -114,7 +114,7 @@ class PencilCubic:
         cubic = Polynomial._term(P3_VARS, (0, 0, 0, 0), scale)
         for root in roots:
             cubic = cubic * (X2 - root * X1)
-        return cls(cubic, tuple(sorted(roots)), scale)
+        return cls(cubic, tuple(sorted(roots)))
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> PencilCubic:
@@ -195,7 +195,7 @@ def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
         raise ValueError(f"factor_out needs a natural power, got {clip(power)}")
     i = f._index(name)
     if any(e[i] < power for e in f.monomials()):
-        raise ExactDivisionError(f"{name}^{power} does not divide {f}")
+        raise ExactDivisionError(f"{name}^{clip(power)} does not divide {clip(f, 60)}")
     shift = [0] * len(f.ring)
     shift[i] = -power
     return f._shifted(shift, 1)
@@ -243,7 +243,7 @@ def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
 
 def is_scalar_multiple(f: Polynomial, exponents: Exponents) -> bool:
     """True iff f is c * (monomial with the given exponents), allowing c = 0."""
-    return f.is_zero or f.monomials() == (tuple(exponents),)
+    return not f or f.monomials() == (tuple(exponents),)
 
 
 # -- the two systems and their incidence conditions --------------------

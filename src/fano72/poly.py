@@ -65,9 +65,10 @@ def _checked_terms(ring: tuple[str, ...], terms: Iterable[tuple[Sequence[int], C
         exponents = tuple(exponents)
         if len(exponents) != arity:
             raise ArityError(
-                f"exponent tuple {exponents} has length {len(exponents)}, ring has {arity} variables")
+                f"exponent tuple {clip(exponents)} has length {len(exponents)}, "
+                f"ring has {arity} variables")
         if any(e < 0 or not isinstance(e, int) for e in exponents):
-            raise ValueError(f"exponents must be natural numbers, got {exponents}")
+            raise ValueError(f"exponents must be natural numbers, got {clip(exponents)}")
         if type(coefficient) is not int:    # a bool too: it ends as the int it equals
             coefficient = Fraction(coefficient)
         yield exponents, coefficient
@@ -196,10 +197,6 @@ class Polynomial:
         exponents = next(iter(self._terms))
         return exponents, self._terms[exponents]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -317,7 +314,7 @@ class Polynomial:
         divisor = self._coerce(divisor)
         if divisor is None:
             raise ArityError("exact_divide requires a polynomial divisor")
-        if divisor.is_zero:
+        if not divisor:
             raise ZeroDivisionError("exact division by the zero polynomial")
         lead_exponents, lead_coefficient = divisor.leading_term()
         remainder = dict(self._terms)
@@ -326,7 +323,7 @@ class Polynomial:
             r_exponents = max(remainder, key=grlex_key)
             shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
             if any(s < 0 for s in shift):
-                raise ExactDivisionError(f"{divisor} does not divide {self}")
+                raise ExactDivisionError(f"{clip(divisor, 60)} does not divide {clip(self, 60)}")
             factor = Fraction(remainder[r_exponents]) / lead_coefficient
             quotient[shift] = factor
             for exponents, coefficient in divisor._terms.items():
@@ -402,7 +399,8 @@ def substitute_all(polys: Iterable[Polynomial],
                 if not e:
                     continue
                 if name not in images:
-                    raise SubstitutionError(f"no image for variable {name!r} occurring in {p}")
+                    raise SubstitutionError(
+                        f"no image for variable {name!r} occurring in {clip(p, 60)}")
                 if name in single:
                     monomial, factor = single[name]
                     shift = tuple(s + e * i for s, i in zip(shift, monomial))
@@ -427,24 +425,12 @@ def substitute_all(polys: Iterable[Polynomial],
     return results
 
 
-class _AnyDegree:
-    """Marker returned for the zero polynomial, homogeneous of every degree."""
-
-    def __repr__(self) -> str:
-        return "ANY_DEGREE"
-
-
-ANY_DEGREE = _AnyDegree()
-
-
-def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | _AnyDegree | None:
-    """Common weighted degree of all terms of f, ANY_DEGREE for 0, None if mixed."""
+def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | None:
+    """The weighted degree all terms of f share; None if f is zero or its terms disagree."""
     weights = check_weights(weights)
     if len(f.ring) != len(weights):
         raise ArityError(f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
     degrees = {sum(map(mul, exponents, weights)) for exponents in f.monomials()}
-    if not degrees:
-        return ANY_DEGREE
     return degrees.pop() if len(degrees) == 1 else None
 
 

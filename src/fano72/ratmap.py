@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from .grading import clip
 from .linalg import LinearSystem
-from .poly import ANY_DEGREE, Exponents, Polynomial, is_homogeneous, substitute_all
+from .poly import Exponents, Polynomial, is_homogeneous, substitute_all
 
 TARGET_VARS = ("y1", "y2", "y3", "y4")
 
@@ -34,11 +35,11 @@ def image_degrees(images: Mapping[str, Polynomial]) -> tuple[int, ...]:
     """
     degrees = []
     for name, image in images.items():
-        degree = is_homogeneous(image, (1,) * len(image.ring))
-        if degree is ANY_DEGREE:
+        if not image:
             raise GradingError(f"image of {name} is the zero polynomial")
+        degree = is_homogeneous(image, (1,) * len(image.ring))
         if degree is None:
-            raise GradingError(f"image of {name} is not homogeneous: {image}")
+            raise GradingError(f"image of {name} is not homogeneous: {clip(image, 60)}")
         degrees.append(degree)
     return tuple(degrees)
 
@@ -68,7 +69,7 @@ def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]
     """
     target = tuple(images)
     degree = is_homogeneous(Polynomial(target, {e: 1 for e in basis}), image_degrees(images))
-    if degree is None or degree is ANY_DEGREE:
+    if degree is None:
         raise GradingError("basis monomials must be nonempty and share one weighted degree")
     monomials = [Polynomial._term(target, e, 1) for e in basis]
     pulled = substitute_all(monomials, images)

@@ -36,7 +36,7 @@ def rand_poly(rng: random.Random, ring, max_terms: int = 3, max_exp: int = 2,
         exponents = tuple(rng.randint(0, max_exp) for _ in ring)
         terms[exponents] = rand_fraction(rng, zero_ok=False)
     p = Polynomial(ring, terms)
-    if not allow_zero and p.is_zero:
+    if not allow_zero and not p:
         return Polynomial.constant(ring, 1)
     return p
 

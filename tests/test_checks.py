@@ -372,6 +372,16 @@ def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     assert len(err.encode()) < 200
 
 
+def test_cli_names_the_degree_cap_for_a_degree_str_cannot_print(capsys):
+    # A = 10^4300 - 1 parses, but the anticanonical degree 2A has 4301 digits
+    a = 10 ** 4300 - 1
+    assert main(["wps", "--weights", f"{a},{a - 1},1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "exceeds the cap of 1000000" in err
+
+
 def test_fuzzed_cli_arguments_end_in_a_result_or_one_error_line(capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

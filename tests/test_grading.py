@@ -1,8 +1,9 @@
 import time
+from fractions import Fraction
 
 import pytest
 
-from fano72 import (ANY_DEGREE, Polynomial, check_weights, enumerate_monomials,
+from fano72 import (Polynomial, check_weights, enumerate_monomials,
                     generators, hilbert_count, is_homogeneous)
 from fano72.grading import MAX_DEGREE, clip
 from fano72.poly import grlex_key
@@ -36,9 +37,9 @@ def test_mixed_degrees_are_not_homogeneous():
     assert is_homogeneous(x1 + x3, W1146) is None
 
 
-def test_zero_is_homogeneous_of_any_degree():
+def test_zero_has_no_weighted_degree():
     zero = Polynomial.zero(("x1", "x2", "x3", "x4"))
-    assert is_homogeneous(zero, W1146) is ANY_DEGREE
+    assert is_homogeneous(zero, W1146) is None
 
 
 def test_enumeration_sizes_for_the_two_extremal_spaces():
@@ -106,6 +107,13 @@ def test_clip_cuts_the_text_past_its_limit():
     assert clip("a" * 21) == "a" * 20 + "..."
     assert clip(10 ** 60, 60) == str(10 ** 60)[:60] + "..."
     assert clip(-7) == "-7"
+
+
+def test_clip_quotes_a_value_str_refuses_by_a_fixed_text():
+    huge = 10 ** 5000
+    x = Polynomial.variable(("x",), "x")
+    for value in (huge, Fraction(1, huge), huge * x):
+        assert clip(value, 60) == "<int too long to print>"
 
 
 def test_table_work_cap():

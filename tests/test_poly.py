@@ -18,7 +18,7 @@ X1, X2, X3, X4 = generators(P3_VARS)
 
 
 def test_additive_inverse():
-    assert (X1 + (-X1)).is_zero
+    assert not X1 + (-X1)
     assert X1 - X1 == Polynomial.zero(P3_VARS)
 
 
@@ -168,7 +168,7 @@ def test_substitute_all_shifts_shared_products_against_the_oracle():
                             {v: Polynomial(target, i) for v, i in zip(ring, images)})
     for f, result in zip(batch, pulled):
         assert list(result.items()) == canonical_items(naive_substitute(f, images, len(target)))
-    assert pulled[-1].is_zero and not pulled[3].is_zero
+    assert not pulled[-1] and pulled[3]
 
 
 def test_substitute_identity_map():
@@ -232,7 +232,7 @@ def test_exact_divide_round_trip_randomized():
 
 def test_canonical_form_drops_zero_terms():
     p = Polynomial(P3_VARS, [((1, 0, 0, 0), Fraction(1)), ((1, 0, 0, 0), Fraction(-1))])
-    assert p.is_zero
+    assert not p
     assert str(p) == "0"
 
 

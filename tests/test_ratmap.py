@@ -70,7 +70,7 @@ def test_pullback_requires_weighted_homogeneity():
 
 
 def test_pullback_of_zero_is_zero():
-    assert Polynomial.zero(TARGET_VARS).substitute(ETA).is_zero
+    assert not Polynomial.zero(TARGET_VARS).substitute(ETA)
 
 
 def test_pullback_preserves_weighted_degree():

@@ -1,20 +1,26 @@
 """Every refusal of caller input, and the reprs, in one table.
 
 Each row calls the public API with one bad input (or asks for a repr) and
-names the error and message it must meet (or the text it must return).
+names the error and message it must meet (or the text it must return).  A
+message quotes a caller's value through ``clip``, so it stays under 200
+characters however large the value: the rows built on ``LONG`` (455 terms)
+and on 10^4-entry tuples check that.
 """
 
 import re
 
 import pytest
 
-from fano72 import (ANY_DEGREE, ArityError, InvalidPencilError, LinearSystem, P3_VARS,
-                    PencilCubic, Polynomial, RuledClass, SplitBundle, SubstitutionError,
-                    WeightedProjectiveSpace, coordinate_plane_residual, enumerate_monomials,
-                    factor_out, generators, hilbert_count, is_homogeneous, substitute_all)
+from fano72 import (ArityError, ExactDivisionError, GradingError, InvalidPencilError,
+                    LinearSystem, P3_VARS, PencilCubic, Polynomial, RuledClass, SplitBundle,
+                    SubstitutionError, WeightedProjectiveSpace, coordinate_plane_residual,
+                    enumerate_monomials, factor_out, generators, hilbert_count, image_degrees,
+                    is_homogeneous, substitute_all)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 XY = Polynomial.variable(("x", "y"), "x")
+LONG = (X1 + X2 + X3 + X4) ** 12
+MANY = tuple(f"v{i}" for i in range(10 ** 4))
 
 
 CASES = {
@@ -30,6 +36,8 @@ CASES = {
                     "LinearSystem(degree=1, generators=2, ring=('x1', 'x2', 'x3', 'x4'))"),
     "member-ring": (lambda: LinearSystem(P3_VARS, 1, [X1]).member(XY),
                     ArityError, "ring mismatch"),
+    "system-long-generator": (lambda: LinearSystem(P3_VARS, 1, [LONG]), ValueError,
+                              "generator x1^12 + 12*x1^11*x2"),
     # PencilCubic and the coordinate planes
     "pencil-two-roots": (lambda: PencilCubic.from_roots((1, 2)),
                          InvalidPencilError, "need exactly three pencil roots, got 2"),
@@ -41,6 +49,8 @@ CASES = {
                        ValueError, "the coordinate planes of the pencil are x1 = 0 and x2 = 0"),
     "factor-out-float-power": (lambda: factor_out(X1 ** 2 * X2, "x1", 1.0),
                                ValueError, "factor_out needs a natural power, got 1.0"),
+    "factor-out-long": (lambda: factor_out(LONG, "x1", 1),
+                        ExactDivisionError, "x1^1 does not divide x1^12 + 12*x1^11*x2"),
     # graded pieces: a degree is an int, as a power is
     "enumerate-float-degree": (lambda: enumerate_monomials((1, 2), 4.0),
                                ValueError, "degree must be a natural number"),
@@ -59,11 +69,20 @@ CASES = {
                            ArityError, "variable 'z' is not in the ring"),
     "poly-divide-text": (lambda: X1.exact_divide("x"),
                          ArityError, "exact_divide requires a polynomial divisor"),
+    "poly-divide-long": (lambda: LONG.exact_divide(X1),
+                         ExactDivisionError, "x1 does not divide x1^12 + 12*x1^11*x2"),
+    "poly-long-exponent-tuple": (lambda: Polynomial(P3_VARS, {(0,) * 10 ** 4: 1}), ArityError,
+                                 "exponent tuple (0, 0, 0, 0, 0, 0, 0..."),
+    "poly-negative-exponents": (lambda: Polynomial(MANY, {(-1,) * 10 ** 4: 1}), ValueError,
+                                "exponents must be natural numbers, got (-1, -1, -1, -1, -1,..."),
     "substitute-no-image": (lambda: substitute_all([X1], {}), SubstitutionError,
                             "substitution needs at least one image to fix the target ring"),
     "substitute-scalar-image": (lambda: substitute_all([X1], {"x1": 1}),
                                 SubstitutionError, "image of 'x1' is not a Polynomial"),
-    "any-degree-repr": (lambda: repr(ANY_DEGREE), None, "ANY_DEGREE"),
+    "substitute-long": (lambda: substitute_all([LONG], {"x1": X1}), SubstitutionError,
+                        "no image for variable 'x2' occurring in x1^12 + 12*x1^11*x2"),
+    "image-long": (lambda: image_degrees({"y1": LONG + X1}),
+                   GradingError, "image of y1 is not homogeneous: x1^12 + 12*x1^11*x2"),
     "homogeneous-arity": (lambda: is_homogeneous(X1, (1, 1)), ArityError,
                           "ring arity 4 does not match weight arity 2"),
     # weighted projective spaces and bundles
@@ -72,6 +91,14 @@ CASES = {
                           ValueError, "twists must be integers, got (1, 'a')"),
     "bundle-float-twist": (lambda: SplitBundle((2, 1.5)),
                            ValueError, "twists must be integers, got (2, 1.5)"),
+    "bundle-many-float-twists": (lambda: SplitBundle((1.5,) * 10 ** 4), ValueError,
+                                 "twists must be integers, got (1.5, 1.5, 1.5, 1.5,..."),
+    "bundle-float-power": (lambda: SplitBundle((1, 2)).sym_power(2.0),
+                           ValueError, "symmetric power requires a natural exponent"),
+    "ruled-float-a": (lambda: RuledClass(4, 1.5, 0),
+                      ValueError, "e, a and b must be integers, got (4, 1.5, 0)"),
+    "ruled-float-e": (lambda: RuledClass(1.0, 0, 0),
+                      ValueError, "e, a and b must be integers, got (1.0, 0, 0)"),
     "ruled-negative-e": (lambda: RuledClass(-1, 0, 0), ValueError,
                          "the Hirzebruch invariant e must be a natural number"),
     "ruled-intersect-int": (lambda: RuledClass(0, 1, 0).intersect(3),
@@ -84,5 +111,6 @@ def test_each_refusal_and_repr(call, error, message):
     if error is None:
         assert call() == message
     else:
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)) as refused:
             call()
+        assert len(str(refused.value)) < 200
