@@ -193,7 +193,8 @@ class LinearSystem:
             if not isinstance(g, Polynomial):
                 raise ArityError("linear system generators must be Polynomials")
             if g.ring != ring:
-                raise ArityError(f"generator ring {g.ring} does not match system ring {ring}")
+                raise ArityError(f"generator ring {clip(g.ring, 60)} does not match "
+                                 f"system ring {clip(ring, 60)}")
             if not g:
                 continue
             terms = g._terms
@@ -233,5 +234,5 @@ class LinearSystem:
         is not homogeneous of the system's degree is never a member; zero is.
         """
         if f.ring != self.ring:
-            raise ArityError(f"ring mismatch: {f.ring} vs {self.ring}")
+            raise ArityError(f"ring mismatch: {clip(f.ring, 60)} vs {clip(self.ring, 60)}")
         return self._span.contains(self.coefficient_vector(f))

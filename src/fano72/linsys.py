@@ -171,7 +171,7 @@ def multiplicity_along_line(f: Polynomial) -> int:
 
 def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Coefficient], ...]:
     if f.ring != P3_VARS:
-        raise ArityError(f"expected a polynomial in the ring {P3_VARS}, got {f.ring}")
+        raise ArityError(f"expected a polynomial in the ring {P3_VARS}, got {clip(f.ring, 60)}")
     return f.items()
 
 

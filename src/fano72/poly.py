@@ -170,7 +170,7 @@ class Polynomial:
     def variable(cls, ring: Sequence[str], name: str) -> Polynomial:
         ring = tuple(ring)
         if name not in ring:
-            raise ArityError(f"variable {name!r} is not in the ring {ring}")
+            raise ArityError(f"variable {name!r} is not in the ring {clip(ring, 60)}")
         exponents = tuple(1 if v == name else 0 for v in ring)
         return cls(ring, {exponents: 1})
 
@@ -218,14 +218,15 @@ class Polynomial:
         try:
             return self.ring.index(name)
         except ValueError:
-            raise ArityError(f"variable {name!r} is not in the ring {self.ring}") from None
+            raise ArityError(f"variable {name!r} is not in the ring "
+                             f"{clip(self.ring, 60)}") from None
 
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> Polynomial | None:
         if isinstance(other, Polynomial):
             if other.ring != self.ring:
-                raise ArityError(f"ring mismatch: {self.ring} vs {other.ring}")
+                raise ArityError(f"ring mismatch: {clip(self.ring, 60)} vs {clip(other.ring, 60)}")
             return other
         if isinstance(other, (int, Fraction)):
             return Polynomial._term(self.ring, (0,) * len(self.ring), other)
@@ -377,7 +378,7 @@ def substitute_all(polys: Iterable[Polynomial],
             target = image.ring
         elif image.ring != target:
             raise SubstitutionError(
-                f"images live in different rings: {target} vs {image.ring}")
+                f"images live in different rings: {clip(target, 60)} vs {clip(image.ring, 60)}")
     unit = (0,) * len(target)
     one = Polynomial._term(target, unit, 1)
     single = {name: image.leading_term() for name, image in images.items() if len(image) == 1}
@@ -488,7 +489,8 @@ def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
                 name, _, power = piece.partition("^")
                 name = name.rstrip()
                 if name not in ring:
-                    raise ParseError(f"variable {clip(name)!r} is not declared in the ring {ring}")
+                    raise ParseError(f"variable {clip(name)!r} is not declared "
+                                     f"in the ring {clip(ring, 60)}")
                 exponents[ring.index(name)] += _integer(power) if power else 1
         terms.append((tuple(exponents), coefficient))
     return Polynomial(ring, terms)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: polynomial
 sums, products and substitutions are recomputed on plain term dicts, ranks
 by dense Gaussian elimination over fractions, graded pieces by brute-force
 exponent products, and Hilbert counts by literal truncated series
-multiplication or, at large degrees, by a closed sum.  Frozen expected
-values in the tests were produced by these oracles.
+multiplication, by the coin-change table filled to the degree or, at large
+degrees, by a closed sum.  Frozen expected values in the tests were produced
+by these oracles.
 """
 
 from __future__ import annotations
@@ -245,6 +246,20 @@ def series_coefficients(weights, depth: int) -> list[int]:
         coefficients = [sum(coefficients[i] * factor[k - i] for i in range(k + 1))
                         for k in range(depth + 1)]
     return coefficients
+
+
+def coin_change_count(weights, degree: int) -> int:
+    """Monomials of weighted degree ``degree``, by the coin-change table filled to the degree.
+
+    After w1..wj are folded in, ``ways[x]`` counts the monomials in the first
+    j variables of weighted degree x; folding in w adds ``ways[x - w]`` to
+    ``ways[x]`` in increasing x.  O(k*d) additions, with no period shortcut.
+    """
+    ways = [1] + [0] * degree
+    for w in weights:
+        for x in range(w, degree + 1):
+            ways[x] += ways[x - w]
+    return ways[degree]
 
 
 def closed_sum_count(a: int, b: int, degree: int) -> int:

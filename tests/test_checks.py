@@ -250,6 +250,15 @@ def test_cli_hilbert_at_a_large_degree(capsys):
     assert closed_sum_count(4, 6, 20000) == 55605568890
 
 
+def test_cli_hilbert_at_the_degree_cap_reads_the_quasi_polynomial(capsys):
+    # the table stops at r + 3*lcm(1, 1, 4, 6) = 40, not at the degree
+    started = time.perf_counter()
+    assert main(["hilbert", "--weights", "1,1,4,6", "--degree", str(MAX_DEGREE)]) == 0
+    assert time.perf_counter() - started < 2
+    assert capsys.readouterr().out.endswith(": 6944569445111112 monomials\n")
+    assert closed_sum_count(4, 6, MAX_DEGREE) == 6944569445111112
+
+
 def test_cli_hilbert_list_cap(capsys):
     assert main(["hilbert", "--weights", "1,1,4,6", "--degree", "20000", "--list"]) == 2
     captured = capsys.readouterr()

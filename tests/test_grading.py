@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
@@ -8,7 +9,7 @@ from fano72 import (Polynomial, check_weights, enumerate_monomials,
 from fano72.grading import MAX_DEGREE, clip
 from fano72.poly import grlex_key
 
-from oracles import (brute_force_monomials, closed_sum_count,
+from oracles import (brute_force_monomials, closed_sum_count, coin_change_count,
                      hilbert_consistency_failures)
 
 W1146 = (1, 1, 4, 6)
@@ -93,6 +94,36 @@ def test_hilbert_count_at_large_degree_against_closed_sum():
         assert hilbert_count((1, 1, 1, 3), degree) == closed_sum_count(1, 3, degree)
 
 
+def test_hilbert_count_matches_the_coin_change_table_across_the_period_boundary():
+    # Past r + (k-1)*L the count is interpolated, L the lcm and r = d mod L;
+    # the boundary degrees and the first interpolated one in r's class are
+    # checked whenever the full table stays small.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weights = st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+                        st.lists(st.integers(1, 500), min_size=1, max_size=6))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(weights, st.integers(0, 3000), st.integers(0, 10 ** 6))
+    def check(weights, degree, residue):
+        period = lcm(*weights)
+        boundary = residue % period + (len(weights) - 1) * period
+        for d in (degree, boundary - 1, boundary, boundary + 1, boundary + period):
+            if 0 <= d <= 40000:
+                assert hilbert_count(weights, d) == coin_change_count(weights, d), (weights, d)
+
+    check()
+
+
+def test_hilbert_count_of_huge_weights_stops_the_period_at_the_degree():
+    # lcm of all the weights has about a million digits; the first one already passes d
+    weights = tuple(10 ** 1000 + i for i in range(1000))
+    started = time.perf_counter()
+    assert hilbert_count(weights, 1000) == 0
+    assert time.perf_counter() - started < 2
+    assert hilbert_count((10 ** 1000, 1), 1000) == 1
+
+
 def test_degree_cap():
     assert hilbert_count((1,), MAX_DEGREE) == 1
     for count in (hilbert_count, enumerate_monomials):
@@ -119,5 +150,7 @@ def test_clip_quotes_a_value_str_refuses_by_a_fixed_text():
 def test_table_work_cap():
     # four weights at the degree cap is the largest table allowed
     assert hilbert_count(W1146, MAX_DEGREE) == closed_sum_count(4, 6, MAX_DEGREE)
+    assert hilbert_count((1, 1, 1, 3), MAX_DEGREE) == closed_sum_count(1, 3, MAX_DEGREE)
+    assert hilbert_count((1,) * 5, 4 * MAX_DEGREE // 5) == comb(4 * MAX_DEGREE // 5 + 4, 4)
     with pytest.raises(ValueError, match="table-work cap"):
         hilbert_count((1,) * 5, 4 * MAX_DEGREE // 5 + 1)

@@ -3,8 +3,8 @@
 Each row calls the public API with one bad input (or asks for a repr) and
 names the error and message it must meet (or the text it must return).  A
 message quotes a caller's value through ``clip``, so it stays under 200
-characters however large the value: the rows built on ``LONG`` (455 terms)
-and on 10^4-entry tuples check that.
+characters however large the value: the rows built on ``LONG`` (455 terms),
+on 10^4-entry tuples and on the 10^4-variable ring ``MANY`` check that.
 """
 
 import re
@@ -14,13 +14,16 @@ import pytest
 from fano72 import (ArityError, ExactDivisionError, GradingError, InvalidPencilError,
                     LinearSystem, P3_VARS, PencilCubic, Polynomial, RuledClass, SplitBundle,
                     SubstitutionError, WeightedProjectiveSpace, coordinate_plane_residual,
-                    enumerate_monomials, factor_out, generators, hilbert_count, image_degrees,
-                    is_homogeneous, substitute_all)
+                    check_weights, enumerate_monomials, factor_out, generators, hilbert_count,
+                    image_degrees, is_homogeneous, multiplicity_along_line, parse_polynomial,
+                    substitute_all)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 XY = Polynomial.variable(("x", "y"), "x")
 LONG = (X1 + X2 + X3 + X4) ** 12
 MANY = tuple(f"v{i}" for i in range(10 ** 4))
+V0 = Polynomial.variable(MANY, "v0")
+MANY_TEXT = "('v0', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6', 'v7', 'v8', 'v9',..."
 
 
 CASES = {
@@ -36,6 +39,12 @@ CASES = {
                     "LinearSystem(degree=1, generators=2, ring=('x1', 'x2', 'x3', 'x4'))"),
     "member-ring": (lambda: LinearSystem(P3_VARS, 1, [X1]).member(XY),
                     ArityError, "ring mismatch"),
+    "system-ring-many": (lambda: LinearSystem(P3_VARS, 1, [V0]), ArityError,
+                         f"generator ring {MANY_TEXT} does not match system ring ('x1', "),
+    "member-ring-many": (lambda: LinearSystem(P3_VARS, 1, [X1]).member(V0),
+                         ArityError, f"ring mismatch: {MANY_TEXT} vs ('x1', 'x2', 'x3', 'x4')"),
+    "p3-ring-many": (lambda: multiplicity_along_line(V0), ArityError,
+                     f"in the ring ('x1', 'x2', 'x3', 'x4'), got {MANY_TEXT}"),
     "system-long-generator": (lambda: LinearSystem(P3_VARS, 1, [LONG]), ValueError,
                               "generator x1^12 + 12*x1^11*x2"),
     # PencilCubic and the coordinate planes
@@ -58,11 +67,25 @@ CASES = {
                                     ValueError, "degree must be a natural number"),
     "hilbert-fractional-degree": (lambda: hilbert_count((1, 1), 2.5),
                                   ValueError, "degree must be a natural number"),
+    "weights-huge-negative": (lambda: check_weights((-10 ** 5000,)), ValueError,
+                              "weights must be integers >= 1, got <int too long to print> at "),
+    "weights-text": (lambda: check_weights((1, "a")),
+                     ValueError, "weights must be integers >= 1, got 'a' at entry 1 of 2"),
     # Polynomial
     "poly-empty-ring": (lambda: Polynomial(()),
                         ValueError, "a polynomial ring needs at least one variable"),
     "poly-variable": (lambda: Polynomial.variable(P3_VARS, "z"),
                       ArityError, "variable 'z' is not in the ring"),
+    "poly-variable-many": (lambda: Polynomial.variable(MANY, "z"),
+                           ArityError, f"variable 'z' is not in the ring {MANY_TEXT}"),
+    "poly-uses-variable-many": (lambda: V0.uses_variable("z"),
+                                ArityError, f"variable 'z' is not in the ring {MANY_TEXT}"),
+    "poly-add-ring": (lambda: X1 + XY,
+                      ArityError, "ring mismatch: ('x1', 'x2', 'x3', 'x4') vs ('x', 'y')"),
+    "poly-add-ring-many": (lambda: V0 + X1,
+                           ArityError, f"ring mismatch: {MANY_TEXT} vs ('x1', 'x2', 'x3', 'x4')"),
+    "parse-ring-many": (lambda: parse_polynomial("z", MANY), ValueError,
+                        f"variable 'z' is not declared in the ring {MANY_TEXT}"),
     "poly-zero-lead": (lambda: Polynomial.zero(P3_VARS).leading_term(),
                        ValueError, "the zero polynomial has no leading term"),
     "poly-uses-variable": (lambda: X1.uses_variable("z"),
@@ -79,6 +102,9 @@ CASES = {
                             "substitution needs at least one image to fix the target ring"),
     "substitute-scalar-image": (lambda: substitute_all([X1], {"x1": 1}),
                                 SubstitutionError, "image of 'x1' is not a Polynomial"),
+    "substitute-rings-many": (lambda: substitute_all([X1], {"x1": X1, "x2": V0}),
+                              SubstitutionError, "images live in different rings: ('x1', 'x2', "
+                                                 f"'x3', 'x4') vs {MANY_TEXT}"),
     "substitute-long": (lambda: substitute_all([LONG], {"x1": X1}), SubstitutionError,
                         "no image for variable 'x2' occurring in x1^12 + 12*x1^11*x2"),
     "image-long": (lambda: image_degrees({"y1": LONG + X1}),
