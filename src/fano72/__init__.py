@@ -30,9 +30,9 @@ _EXPORTS = {name: module for module, names in {
     "linalg": ("LinearSystem", "RowSpace", "nullspace_basis"),
     "linsys": ("InvalidPencilError", "P3_VARS", "PENCIL_VARS", "PencilCubic",
                "build_degree12_system", "build_sextic_system", "conditions_report",
-               "coordinate_plane_residual", "factor_out", "is_scalar_multiple",
-               "multiplicity_along_line", "random_member", "restrict_to_pencil",
-               "restrict_to_pencil_plane", "solve_constraints", "solve_sextic_constraints"),
+               "coordinate_plane_residual", "is_scalar_multiple", "multiplicity_along_line",
+               "random_member", "restrict_to_pencil", "restrict_to_pencil_plane",
+               "solve_constraints", "solve_sextic_constraints"),
     "poly": ("ArityError", "ExactDivisionError", "ParseError", "Polynomial",
              "SubstitutionError", "generators", "is_homogeneous", "parse_polynomial",
              "substitute_all"),

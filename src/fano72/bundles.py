@@ -78,5 +78,6 @@ class RuledClass:
         if not isinstance(other, RuledClass):
             raise TypeError("intersect expects another RuledClass")
         if self.e != other.e:
-            raise ValueError(f"classes live on different surfaces: F_{self.e} vs F_{other.e}")
+            raise ValueError(f"classes live on different surfaces: F_{clip(self.e)} "
+                             f"vs F_{clip(other.e)}")
         return (-self.e) * self.a * other.a + self.a * other.b + self.b * other.a

@@ -24,13 +24,13 @@ from time import perf_counter
 from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .bundles import RuledClass, SplitBundle, system_dim
 from .grading import clip, hilbert_count
-from .linsys import (InvalidPencilError, LinearSystem, PencilCubic, X1, X2,
-                     X3, X4, build_degree12_system, build_sextic_system,
-                     conditions_report, coordinate_plane_residual, factor_out,
+from .linsys import (PENCIL_VARS, InvalidPencilError, LinearSystem, PencilCubic,
+                     X1, X2, X3, X4, build_degree12_system, build_sextic_system,
+                     conditions_report, coordinate_plane_residual,
                      is_scalar_multiple, multiplicity_along_line,
                      random_member, restrict_to_pencil,
                      restrict_to_pencil_plane)
-from .poly import ParseError, is_homogeneous
+from .poly import ParseError, Polynomial, is_homogeneous
 from .ratmap import image_degrees, weighted_parametrization
 from .wps import WeightedProjectiveSpace
 
@@ -173,6 +173,7 @@ def sextic_suite(pencil: PencilCubic, rng: random.Random) -> list[CheckRecord]:
     system = build_sextic_system(pencil)
     members = list(system.generators) + [random_member(system, rng)]
     unit = (1, 1, 1, 1)
+    x1_fifth = Polynomial.monomial(PENCIL_VARS, (0, 5, 0, 0))
     _run(records, "system-s.generators", "generator count of the sextic system",
          "the sextic system depends on 11 independent parameters",
          11, lambda: len(system.generators))
@@ -192,7 +193,7 @@ def sextic_suite(pencil: PencilCubic, rng: random.Random) -> list[CheckRecord]:
     def residual_degrees() -> str:
         degrees = set()
         for f in members:
-            residual = factor_out(restrict_to_pencil(f), "x1", 5)
+            residual = restrict_to_pencil(f).exact_divide(x1_fifth)
             degrees.add(residual.degree_in(("x1", "x3", "x4")))
         return str(degrees)
 
@@ -314,25 +315,20 @@ def theorem_suite(pencil: PencilCubic, pulled: LinearSystem | None = None) -> li
 
 
 def run_all(config: VerifyConfig) -> list[CheckRecord]:
-    """Run the selected suites in declaration order and return all records."""
+    """Run the named suite, or for ``all`` every suite in ``SUITES`` order, and
+    return the records; the degree-12 system is built once, when first needed."""
     pencil = config.pencil
     suite = config.suite
     if suite not in ("all",) + SUITES + EXTRA_SUITES:
         raise ConfigurationError(
             f"unknown suite {clip(suite)!r}; choose from all, {', '.join(SUITES + EXTRA_SUITES)}")
     rng = random.Random(config.seed)
-    records: list[CheckRecord] = []
-    if suite in ("all", "wps"):
-        records += wps_suite()
-    if suite in ("all", "scroll"):
-        records += scroll_suite()
-    if suite in ("all", "system-s"):
-        records += sextic_suite(pencil, rng)
-    if suite == "sprime":
-        records += sprime_records(pencil, build_sextic_system(pencil))
-    degree12 = build_degree12_system(pencil) if suite in ("all", "system-t", "theorem") else None
-    if suite in ("all", "system-t"):
-        records += degree12_suite(pencil, degree12)
-    if suite in ("all", "theorem"):
-        records += theorem_suite(pencil, degree12)
-    return records
+    degree12 = cache(lambda: build_degree12_system(pencil))
+    suites = {"wps": wps_suite,
+              "scroll": scroll_suite,
+              "system-s": lambda: sextic_suite(pencil, rng),
+              "sprime": lambda: sprime_records(pencil, build_sextic_system(pencil)),
+              "system-t": lambda: degree12_suite(pencil, degree12()),
+              "theorem": lambda: theorem_suite(pencil, degree12())}
+    return [record for name in (SUITES if suite == "all" else (suite,))
+            for record in suites[name]()]

@@ -177,11 +177,11 @@ class LinearSystem:
     Generators are rescaled to primitive integer form (the row normaliser
     ``_to_int_row``: content 1, last term positive), deduplicated, and zero inputs
     dropped; the span is unchanged by any of this.  A generator that is
-    primitive already is kept as the same object; only the others are merged
-    anew.  So each generator is normalised once, here, and its term dict,
-    keyed by exponent tuple, is its primitive integer row: the private span,
-    made here too, inserts those rows without normalising them again, and
-    ``rank`` is its rank.  No slot changes after construction.
+    primitive already is kept as the same object, the others as their
+    primitive rows.  So each generator is normalised once, here, and its
+    term dict, keyed by exponent tuple, is its primitive integer row: the
+    private span, made here too, inserts those rows without normalising
+    them again, and ``rank`` is its rank.  No slot changes after construction.
     """
 
     __slots__ = ("ring", "degree", "generators", "rank", "_span")
@@ -202,7 +202,7 @@ class LinearSystem:
                 raise ValueError(f"generator {clip(g, 60)} is not homogeneous "
                                  f"of degree {clip(degree)}")
             row = _to_int_row(terms)
-            primitive.append(g if row == terms else Polynomial._from_valid_terms(ring, row.items()))
+            primitive.append(g if row == terms else Polynomial._canonical(ring, row))
         generators = tuple(dict.fromkeys(primitive))
         span = RowSpace()
         for g in generators:                # each term dict is a primitive integer row

@@ -27,14 +27,16 @@ from operator import mul
 
 from .grading import clip, enumerate_monomials
 from .linalg import LinearSystem, echelon_pivots, nullspace_basis
-from .poly import (ArityError, Coefficient, ExactDivisionError, Exponents,
-                   Polynomial, generators, is_homogeneous, parse_polynomial)
+from .poly import (ArityError, Coefficient, Exponents, Polynomial, generators,
+                   is_homogeneous, parse_polynomial)
 from .ratmap import pullback_system, weighted_parametrization
 
 P3_VARS = ("x1", "x2", "x3", "x4")
 PENCIL_VARS = ("t", "x1", "x3", "x4")
 
 X1, X2, X3, X4 = generators(P3_VARS)
+# The quintuple line on each coordinate plane: x2^5 on x1 = 0, x1^5 on x2 = 0.
+_LINE_ON_PLANE = {"x1": X2 ** 5, "x2": X1 ** 5}
 
 
 class InvalidPencilError(ValueError):
@@ -189,18 +191,6 @@ def restrict_to_pencil(f: Polynomial) -> Polynomial:
                                                      for (a, b, c, d), k in _p3_items(f)))
 
 
-def factor_out(f: Polynomial, name: str, power: int) -> Polynomial:
-    """Divide f exactly by name**power, or raise ExactDivisionError."""
-    if not isinstance(power, int) or power < 0:
-        raise ValueError(f"factor_out needs a natural power, got {clip(power)}")
-    i = f._index(name)
-    if any(e[i] < power for e in f.monomials()):
-        raise ExactDivisionError(f"{name}^{clip(power)} does not divide {clip(f, 60)}")
-    shift = [0] * len(f.ring)
-    shift[i] = -power
-    return f._shifted(shift, 1)
-
-
 def restrict_to_pencil_plane(f: Polynomial, tau: Fraction | int) -> Polynomial:
     """Restrict to the single pencil plane x2 = tau*x1 (stays in the P^3 ring).
 
@@ -234,11 +224,9 @@ def coordinate_plane_residual(f: Polynomial, plane: str) -> Polynomial:
     """
     if plane not in ("x1", "x2"):
         raise ValueError("the coordinate planes of the pencil are x1 = 0 and x2 = 0")
-    other = "x2" if plane == "x1" else "x1"
-    i = P3_VARS.index(plane)
-    restricted = Polynomial._from_valid_terms(P3_VARS, ((e, k) for e, k in _p3_items(f)
-                                                        if not e[i]))
-    return factor_out(restricted, other, 5)
+    i = P3_VARS.index(plane)            # dropping terms keeps a canonical dict canonical
+    restricted = Polynomial._canonical(P3_VARS, {e: k for e, k in _p3_items(f) if not e[i]})
+    return restricted.exact_divide(_LINE_ON_PLANE[plane])
 
 
 def is_scalar_multiple(f: Polynomial, exponents: Exponents) -> bool:

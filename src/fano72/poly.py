@@ -8,9 +8,10 @@ graded-lexicographically by the declared variable order, leading term first.
 All arithmetic is exact, so polynomial identities can be tested with ``==``.
 Sums, products, substitutions and exact division merge their terms in one
 shared loop.  The only constructions that skip it are a single term (a
-scalar operand too) and a product with a one-term factor c*x^s, ``-f`` and
-``f / c`` among them (s = 0): grlex is a monomial order, so adding s to every
-exponent keeps the canonical term order and no two terms collide.
+scalar operand too) and a product with, or exact quotient by, a one-term
+factor c*x^s, ``-f`` and ``f / c`` among them (s = 0): grlex is a monomial
+order, so adding s to every exponent, or taking it from exponents that
+reach it, keeps the canonical term order and no two terms collide.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -102,8 +103,8 @@ class Polynomial:
     ``*``, :func:`substitute_all` and :meth:`exact_divide` build exponents
     from valid ones and hand their raw, possibly colliding terms to the
     same merge loop through the private ``_from_valid_terms``; a single
-    term (``_term``) and a one-term factor's shift (``_shifted``: negation and
-    scalar division too) skip it.
+    term (``_term``) and a one-term factor's shift (``_shifted``: negation,
+    scalar division and exact division by one term too) skip it.
     """
 
     __slots__ = ("ring", "_terms")
@@ -170,7 +171,7 @@ class Polynomial:
     def variable(cls, ring: Sequence[str], name: str) -> Polynomial:
         ring = tuple(ring)
         if name not in ring:
-            raise ArityError(f"variable {name!r} is not in the ring {clip(ring, 60)}")
+            raise ArityError(f"variable {clip(name, render=repr)} is not in the ring {clip(ring, 60)}")
         exponents = tuple(1 if v == name else 0 for v in ring)
         return cls(ring, {exponents: 1})
 
@@ -218,7 +219,7 @@ class Polynomial:
         try:
             return self.ring.index(name)
         except ValueError:
-            raise ArityError(f"variable {name!r} is not in the ring "
+            raise ArityError(f"variable {clip(name, render=repr)} is not in the ring "
                              f"{clip(self.ring, 60)}") from None
 
     # -- ring operations ----------------------------------------------
@@ -279,7 +280,8 @@ class Polynomial:
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power requires a natural exponent, got {exponent!r}")
+            raise ValueError("polynomial power requires a natural exponent, "
+                             f"got {clip(exponent, render=repr)}")
         result, base, k = self._coerce(1), self, exponent
         while k:
             if k & 1:
@@ -308,9 +310,11 @@ class Polynomial:
     def exact_divide(self, divisor: Polynomial) -> Polynomial:
         """Return q with self == q * divisor, or raise ExactDivisionError.
 
-        Single-divisor division with respect to the canonical term order;
-        for one divisor the quotient/remainder split is unique, so a leading
-        term that fails to divide certifies indivisibility.
+        A one-term divisor c*x^s divides iff every term reaches s in each
+        variable s uses, and the quotient is a shift by -s times 1/c, with no
+        merge loop, as ``*`` by one term.  Any other divisor: division in the
+        canonical term order, whose quotient/remainder split is unique, so a
+        leading term that fails to divide certifies indivisibility.
         """
         divisor = self._coerce(divisor)
         if divisor is None:
@@ -318,23 +322,31 @@ class Polynomial:
         if not divisor:
             raise ZeroDivisionError("exact division by the zero polynomial")
         lead_exponents, lead_coefficient = divisor.leading_term()
-        remainder = dict(self._terms)
-        quotient: dict[Exponents, Coefficient] = {}
-        while remainder:
-            r_exponents = max(remainder, key=grlex_key)
-            shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
-            if any(s < 0 for s in shift):
-                raise ExactDivisionError(f"{clip(divisor, 60)} does not divide {clip(self, 60)}")
-            factor = Fraction(remainder[r_exponents]) / lead_coefficient
-            quotient[shift] = factor
-            for exponents, coefficient in divisor._terms.items():
-                target = tuple(map(add, shift, exponents))
-                total = remainder.get(target, 0) - factor * coefficient
-                if total:
-                    remainder[target] = total
-                else:
-                    remainder.pop(target, None)
-        return Polynomial._from_valid_terms(self.ring, quotient.items())
+        if len(divisor) == 1:
+            used = [(i, s) for i, s in enumerate(lead_exponents) if s]
+            if all(e[i] >= s for e in self._terms for i, s in used):
+                return self._shifted(tuple(-s for s in lead_exponents),
+                                     1 if lead_coefficient == 1 else 1 / Fraction(lead_coefficient))
+        else:
+            remainder = dict(self._terms)
+            quotient: dict[Exponents, Coefficient] = {}
+            while remainder:
+                r_exponents = max(remainder, key=grlex_key)
+                shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
+                if any(s < 0 for s in shift):
+                    break
+                factor = Fraction(remainder[r_exponents]) / lead_coefficient
+                quotient[shift] = factor
+                for exponents, coefficient in divisor._terms.items():
+                    target = tuple(map(add, shift, exponents))
+                    total = remainder.get(target, 0) - factor * coefficient
+                    if total:
+                        remainder[target] = total
+                    else:
+                        remainder.pop(target, None)
+            else:                           # no break: the remainder is zero
+                return Polynomial._from_valid_terms(self.ring, quotient.items())
+        raise ExactDivisionError(f"{clip(divisor, 60)} does not divide {clip(self, 60)}")
 
     # -- text form ------------------------------------------------------
 
@@ -373,7 +385,7 @@ def substitute_all(polys: Iterable[Polynomial],
     target = None
     for name, image in images.items():
         if not isinstance(image, Polynomial):
-            raise SubstitutionError(f"image of {name!r} is not a Polynomial")
+            raise SubstitutionError(f"image of {clip(name, render=repr)} is not a Polynomial")
         if target is None:
             target = image.ring
         elif image.ring != target:
@@ -401,7 +413,8 @@ def substitute_all(polys: Iterable[Polynomial],
                     continue
                 if name not in images:
                     raise SubstitutionError(
-                        f"no image for variable {name!r} occurring in {clip(p, 60)}")
+                        f"no image for variable {clip(name, render=repr)} "
+                        f"occurring in {clip(p, 60)}")
                 if name in single:
                     monomial, factor = single[name]
                     shift = tuple(s + e * i for s, i in zip(shift, monomial))

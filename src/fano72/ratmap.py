@@ -36,10 +36,10 @@ def image_degrees(images: Mapping[str, Polynomial]) -> tuple[int, ...]:
     degrees = []
     for name, image in images.items():
         if not image:
-            raise GradingError(f"image of {name} is the zero polynomial")
+            raise GradingError(f"image of {clip(name)} is the zero polynomial")
         degree = is_homogeneous(image, (1,) * len(image.ring))
         if degree is None:
-            raise GradingError(f"image of {name} is not homogeneous: {clip(image, 60)}")
+            raise GradingError(f"image of {clip(name)} is not homogeneous: {clip(image, 60)}")
         degrees.append(degree)
     return tuple(degrees)
 
@@ -64,8 +64,8 @@ def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]
     :func:`substitute_all` call: for the images (x1, x2, x3*xi, x1*x2*x4*xi)
     each monomial's image is a shift of one memoised product
     (x3*xi)^c * (x1*x2*x4*xi)^d.  ``LinearSystem`` keeps each image that is
-    primitive already, as all are for the default cubic, and merges only the
-    rest anew.
+    primitive already, as all are for the default cubic, and takes the
+    primitive row of the rest.
     """
     target = tuple(images)
     degree = is_homogeneous(Polynomial(target, {e: 1 for e in basis}), image_degrees(images))

@@ -8,16 +8,16 @@ run ``pytest tests/test_acceptance.py -v -s`` to see them all.
 import random
 from time import perf_counter
 
-from fano72 import (RuledClass, SplitBundle,
+from fano72 import (Polynomial, RuledClass, SplitBundle,
                     WeightedProjectiveSpace, build_degree12_system,
                     build_sextic_system, conditions_report,
-                    coordinate_plane_residual, factor_out, hilbert_count,
+                    coordinate_plane_residual, hilbert_count,
                     is_homogeneous, is_scalar_multiple, multiplicity_along_line,
                     pullback_system, random_member, restrict_to_pencil,
                     restrict_to_pencil_plane, solve_constraints,
                     solve_sextic_constraints, system_dim,
                     weighted_parametrization)
-from fano72.linsys import PencilCubic, sextic_constraint_rows
+from fano72.linsys import PENCIL_VARS, PencilCubic, sextic_constraint_rows
 
 from oracles import (hilbert_consistency_failures,
                      pullback_multiplicativity_failures, rref_rank,
@@ -107,8 +107,9 @@ def test_criterion_05_sextic_system():
     member = random_member(system, random.Random(MEMBER_SEED))
     _check(failures, multiplicity_along_line(member) == 5,
            "random member multiplicity is not exactly 5")
+    x1_fifth = Polynomial.monomial(PENCIL_VARS, (0, 5, 0, 0))
     for f in list(system.generators) + [member]:
-        residual = factor_out(restrict_to_pencil(f), "x1", 5)
+        residual = restrict_to_pencil(f).exact_divide(x1_fifth)
         _check(failures, residual.degree_in(("x1", "x3", "x4")) <= 1,
                f"pencil residual of {f} is not linear")
     _conclude(5, "sextic system: 11 generators, dimension 10, quintuple line, "

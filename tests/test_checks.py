@@ -54,6 +54,11 @@ def test_suite_filtering():
         "system-s.sprime.rank", "system-s.sprime.dim", "system-s.sprime.span"}
 
 
+def test_all_runs_each_suite_in_suites_order():
+    by_suite = [run_all(VerifyConfig(suite=suite)) for suite in fano72.SUITES]
+    assert _strip_elapsed(run_all(VerifyConfig())) == _strip_elapsed(sum(by_suite, []))
+
+
 def test_unknown_suite_is_a_configuration_error():
     with pytest.raises(ConfigurationError):
         run_all(VerifyConfig(suite="nonsense"))

@@ -9,7 +9,7 @@ import pytest
 from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidPencilError,
                     LinearSystem, Polynomial, build_degree12_system, build_sextic_system,
                     coordinate_plane_residual,
-                    enumerate_monomials, factor_out, generators, is_homogeneous, is_scalar_multiple,
+                    enumerate_monomials, generators, is_homogeneous, is_scalar_multiple,
                     multiplicity_along_line, pullback_system, random_member,
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
@@ -307,14 +307,14 @@ def test_restrict_to_pencil_of_x2():
     assert restrict_to_pencil(X2) == t * x1
 
 
-def test_factor_out():
+def test_exact_divide_by_one_term():
     f = X1 ** 5 * X3 + X1 ** 6
-    assert factor_out(f, "x1", 5) == X3 + X1
+    assert f.exact_divide(X1 ** 5) == X3 + X1
+    assert [(e, type(c), c) for e, c in (6 * f).exact_divide(2 * X1 ** 5).items()] == \
+        [((1, 0, 0, 0), int, 3), ((0, 0, 1, 0), int, 3)]
+    assert f.exact_divide(Fraction(2, 3) * X1 ** 5) == Fraction(3, 2) * (X3 + X1)
     with pytest.raises(ExactDivisionError):
-        factor_out(X1 ** 2 + X2 ** 2, "x1", 1)
-    # a negative power would multiply, not divide
-    with pytest.raises(ValueError, match="natural power"):
-        factor_out(X1, "x1", -1)
+        (X1 ** 2 + X2 ** 2).exact_divide(X1)
 
 
 def test_restrictions_agree_with_substitution():
@@ -343,10 +343,10 @@ def test_restrictions_agree_with_substitution():
                     [(e, type(c), c) for e, c in substituted.items()]
                 if f in integral and Fraction(tau).denominator == 1:
                     assert all(type(c) is int for _, c in restricted.items())
-            for plane, other in (("x1", "x2"), ("x2", "x1")):
+            for plane, line in (("x1", X2), ("x2", X1)):
                 images = {"x1": X1, "x2": X2, "x3": X3, "x4": X4, plane: zero}
                 assert coordinate_plane_residual(f, plane) == \
-                    factor_out(f.substitute(images), other, 5)
+                    f.substitute(images).exact_divide(line ** 5)
 
 
 def test_restrictions_reject_other_rings():
@@ -383,8 +383,9 @@ def test_sextic_multiplicity_along_the_line():
 def test_sextic_pencil_restriction_has_linear_moving_part():
     system = build_sextic_system(DEFAULT)
     members = list(system.generators) + [random_member(system, random.Random(8))]
+    x1_fifth = Polynomial.monomial(PENCIL_VARS, (0, 5, 0, 0))
     for f in members:
-        residual = factor_out(restrict_to_pencil(f), "x1", 5)
+        residual = restrict_to_pencil(f).exact_divide(x1_fifth)
         assert residual.degree_in(("x1", "x3", "x4")) <= 1
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -71,8 +72,8 @@ def test_unchecked_results_equal_the_naive_oracle():
     # +, *, substitute_all and exact_divide build their terms without the
     # constructor's checks; each must still give exactly the oracle's terms,
     # every integral coefficient an int.  m has one Fraction term, so p * m,
-    # m * p and m's substitution take the one-term shift, whose products may
-    # become integral.
+    # m * p, m's substitution and the division of p * m by m take the
+    # one-term shift, whose products may become integral.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     ring, target = ("a", "b", "c"), ("u", "v")
@@ -100,6 +101,8 @@ def test_unchecked_results_equal_the_naive_oracle():
             expected = naive_substitute(source, images, len(target))
             assert list(result.items()) == canonical_items(expected)
         results += pulled
+        results.append((p * m).exact_divide(m))
+        assert list(results[-1].items()) == canonical_items(naive_add(f, {}))
         if q:
             results.append((p * q).exact_divide(q))
             assert list(results[-1].items()) == canonical_items(naive_add(f, {}))
@@ -215,6 +218,12 @@ def test_exact_divide_by_unit():
 def test_exact_divide_indivisible():
     with pytest.raises(ExactDivisionError):
         (X1 ** 2 + X2 ** 2).exact_divide(X1)
+    # one term: the leading term x1^3*x2 reaches x1^2*x2, the last falls short in x1
+    with pytest.raises(ExactDivisionError,
+                       match=re.escape("3*x1^2*x2 does not divide x1^3*x2 + x1*x2^2")):
+        (X1 ** 3 * X2 + X1 * X2 ** 2).exact_divide(3 * X1 ** 2 * X2)
+    with pytest.raises(ExactDivisionError, match=re.escape("x1 + x2 does not divide x1^2 + x2^2")):
+        (X1 ** 2 + X2 ** 2).exact_divide(X1 + X2)
 
 
 def test_exact_divide_by_zero():

@@ -4,7 +4,8 @@ Each row calls the public API with one bad input (or asks for a repr) and
 names the error and message it must meet (or the text it must return).  A
 message quotes a caller's value through ``clip``, so it stays under 200
 characters however large the value: the rows built on ``LONG`` (455 terms),
-on 10^4-entry tuples and on the 10^4-variable ring ``MANY`` check that.
+on 10^4-entry tuples, on the 10^4-variable ring ``MANY``, on the
+10^5-character name ``NAME`` and on 5001-digit integers check that.
 """
 
 import re
@@ -14,7 +15,7 @@ import pytest
 from fano72 import (ArityError, ExactDivisionError, GradingError, InvalidPencilError,
                     LinearSystem, P3_VARS, PencilCubic, Polynomial, RuledClass, SplitBundle,
                     SubstitutionError, WeightedProjectiveSpace, coordinate_plane_residual,
-                    check_weights, enumerate_monomials, factor_out, generators, hilbert_count,
+                    check_weights, enumerate_monomials, generators, hilbert_count,
                     image_degrees, is_homogeneous, multiplicity_along_line, parse_polynomial,
                     substitute_all)
 
@@ -24,6 +25,8 @@ LONG = (X1 + X2 + X3 + X4) ** 12
 MANY = tuple(f"v{i}" for i in range(10 ** 4))
 V0 = Polynomial.variable(MANY, "v0")
 MANY_TEXT = "('v0', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6', 'v7', 'v8', 'v9',..."
+NAME = "z" * 10 ** 5
+NAME_TEXT, NAME_REPR = "z" * 20 + "...", "'" + "z" * 19 + "..."
 
 
 CASES = {
@@ -56,10 +59,6 @@ CASES = {
                     InvalidPencilError, "the pencil cubic must live in the ring"),
     "residual-plane": (lambda: coordinate_plane_residual(X1 ** 6, "x3"),
                        ValueError, "the coordinate planes of the pencil are x1 = 0 and x2 = 0"),
-    "factor-out-float-power": (lambda: factor_out(X1 ** 2 * X2, "x1", 1.0),
-                               ValueError, "factor_out needs a natural power, got 1.0"),
-    "factor-out-long": (lambda: factor_out(LONG, "x1", 1),
-                        ExactDivisionError, "x1^1 does not divide x1^12 + 12*x1^11*x2"),
     # graded pieces: a degree is an int, as a power is
     "enumerate-float-degree": (lambda: enumerate_monomials((1, 2), 4.0),
                                ValueError, "degree must be a natural number"),
@@ -80,6 +79,14 @@ CASES = {
                            ArityError, f"variable 'z' is not in the ring {MANY_TEXT}"),
     "poly-uses-variable-many": (lambda: V0.uses_variable("z"),
                                 ArityError, f"variable 'z' is not in the ring {MANY_TEXT}"),
+    "poly-variable-long-name": (lambda: Polynomial.variable(P3_VARS, NAME),
+                                ArityError, f"variable {NAME_REPR} is not in the ring ('x1', "),
+    "poly-degree-in-long-name": (lambda: X1.degree_in((NAME,)),
+                                 ArityError, f"variable {NAME_REPR} is not in the ring ('x1', "),
+    "poly-power-long-text": (lambda: X1 ** NAME, ValueError,
+                             f"polynomial power requires a natural exponent, got {NAME_REPR}"),
+    "poly-power-huge-negative": (lambda: X1 ** -10 ** 5000, ValueError,
+                                 "requires a natural exponent, got <int too long to print>"),
     "poly-add-ring": (lambda: X1 + XY,
                       ArityError, "ring mismatch: ('x1', 'x2', 'x3', 'x4') vs ('x', 'y')"),
     "poly-add-ring-many": (lambda: V0 + X1,
@@ -107,8 +114,17 @@ CASES = {
                                                  f"'x3', 'x4') vs {MANY_TEXT}"),
     "substitute-long": (lambda: substitute_all([LONG], {"x1": X1}), SubstitutionError,
                         "no image for variable 'x2' occurring in x1^12 + 12*x1^11*x2"),
+    "substitute-image-long-name": (lambda: substitute_all([X1], {NAME: 1}), SubstitutionError,
+                                   f"image of {NAME_REPR} is not a Polynomial"),
+    "substitute-no-image-long-name": (lambda: substitute_all([Polynomial.variable((NAME,), NAME)],
+                                                             {"x1": X1}), SubstitutionError,
+                                      f"no image for variable {NAME_REPR} occurring in zzzzz"),
     "image-long": (lambda: image_degrees({"y1": LONG + X1}),
                    GradingError, "image of y1 is not homogeneous: x1^12 + 12*x1^11*x2"),
+    "image-zero-long-name": (lambda: image_degrees({NAME: Polynomial.zero(P3_VARS)}),
+                             GradingError, f"image of {NAME_TEXT} is the zero polynomial"),
+    "image-long-name": (lambda: image_degrees({NAME: X1 + X2 ** 2}),
+                        GradingError, f"image of {NAME_TEXT} is not homogeneous: x2^2 + x1"),
     "homogeneous-arity": (lambda: is_homogeneous(X1, (1, 1)), ArityError,
                           "ring arity 4 does not match weight arity 2"),
     # weighted projective spaces and bundles
@@ -129,6 +145,9 @@ CASES = {
                          "the Hirzebruch invariant e must be a natural number"),
     "ruled-intersect-int": (lambda: RuledClass(0, 1, 0).intersect(3),
                             TypeError, "intersect expects another RuledClass"),
+    "ruled-intersect-huge-e": (lambda: RuledClass(10 ** 5000, 1, 0).intersect(RuledClass(1, 1, 0)),
+                               ValueError, "classes live on different surfaces: "
+                                           "F_<int too long to print> vs F_1"),
 }
 
 

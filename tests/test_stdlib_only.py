@@ -1,11 +1,14 @@
 """The runtime imports the standard library only, never the test oracles, and
-holds no assert statement (python -O strips them); it calls
+holds no assert statement (python -O strips them), so ``verify all`` passes
+under -O too; it calls
 ``object.__setattr__`` only in constructors, and cuts a quoted value only
 through ``grading.clip``.  Its own modules import
 each other one way, at module level: a stack with ``grading`` and ``bundles``
 at the bottom, ``cli`` the only module importing inside its functions."""
 
 import ast
+import os
+import subprocess
 import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -56,6 +59,15 @@ def test_runtime_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_verify_all_passes_under_optimize():
+    # -O drops every assert: a check that rested on one would change the verdict.
+    done = subprocess.run([sys.executable, "-O", "-m", "fano72", "verify", "all"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)})
+    assert done.returncode == 0, done.stderr
+    assert "45 checks: 45 passed" in done.stdout
 
 
 def test_object_setattr_runs_only_in_constructors():
