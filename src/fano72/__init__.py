@@ -41,17 +41,13 @@ _EXPORTS = {name: module for module, names in {
     "wps": ("WeightedProjectiveSpace",),
 }.items() for name in names}
 
-# Submodules reachable as attributes, as ``fano72.linsys``, before anything imported them.
-_SUBMODULES = ("bundles", "checks", "cli", "grading", "linalg", "linsys", "poly", "ratmap", "wps")
-
 __all__ = ["ConfigurationError", "EXTRA_SUITES", "SUITES", *_EXPORTS]
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return __import__(f"{__name__}.{name}", fromlist=[name])
     if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        clip = __import__(f"{__name__}.grading", fromlist=["clip"]).clip
+        raise AttributeError(f"module {__name__!r} has no attribute {clip(name, render=repr)}")
     value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     globals()[name] = value         # later lookups skip this hook
     return value

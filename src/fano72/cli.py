@@ -60,6 +60,10 @@ def _print_records(records: list) -> None:
         print(f"{r.status:<4}  {r.check_id:<{width}}  {value}  | {r.claim}")
 
 
+def _unwritable(path: str, error: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write --json output {clip(path, 60)!r}: {error.strerror}")
+
+
 def _open_json(path: str | None):
     """The --json output, opened before any check runs so a bad path fails fast."""
     if path is None:
@@ -67,7 +71,7 @@ def _open_json(path: str | None):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as error:
-        raise ConfigurationError(f"cannot write --json output {clip(path, 60)!r}: {error.strerror}")
+        raise _unwritable(path, error)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -82,7 +86,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if handle:
             import json
             from dataclasses import asdict
-            handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
+            try:
+                with handle:    # closing flushes: a full disk raises here, once
+                    handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
+            except OSError as error:
+                raise _unwritable(args.json, error)
     failed = sum(1 for r in records if r.status == "FAIL")
     print(f"{len(records)} checks: {len(records) - failed} passed, "
           f"{failed} failed ({perf_counter() - started:.2f}s)")

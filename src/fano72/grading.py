@@ -1,6 +1,6 @@
 """Exponent tuples, weighted degrees, and graded monomial enumeration.
 
-A monomial is its exponent tuple, ordered by ``grlex_key`` and printed by
+A monomial is its exponent tuple, ordered grlex and printed by
 ``monomial_text``; this module imports nothing from the package.  A weight
 system gives each ring variable a positive integer degree.
 ``enumerate_monomials`` lists a graded piece by an odometer over exponents,
@@ -20,12 +20,6 @@ from itertools import accumulate, compress
 from math import comb, gcd, lcm
 
 Exponents = tuple[int, ...]
-
-
-def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing graded lexicographic order on exponent tuples."""
-    exponents = tuple(exponents)
-    return (sum(exponents), exponents)
 
 
 def monomial_text(exponents: Sequence[int], names: Sequence[str]) -> str:

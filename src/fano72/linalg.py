@@ -213,8 +213,10 @@ class LinearSystem:
         object.__setattr__(self, "rank", span.rank)
         object.__setattr__(self, "_span", span)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):      # as __delattr__ too, with no value
         raise AttributeError("LinearSystem is immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree={self.degree}, "
@@ -235,4 +237,4 @@ class LinearSystem:
         """
         if f.ring != self.ring:
             raise ArityError(f"ring mismatch: {clip(f.ring, 60)} vs {clip(self.ring, 60)}")
-        return self._span.contains(self.coefficient_vector(f))
+        return self._span.contains(f._terms)

@@ -35,9 +35,10 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from operator import add, mul
+from heapq import heapify, heappop, heappush
+from operator import add, mul, neg
 
-from .grading import Exponents, check_weights, clip, grlex_key, monomial_text
+from .grading import Exponents, check_weights, clip, monomial_text
 
 Coefficient = int | Fraction
 
@@ -153,8 +154,10 @@ class Polynomial:
                                            c if (c := k * factor).denominator > 1 else c.numerator
                                            for e, k in self._terms.items()})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):      # as __delattr__ too, with no value
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
 
@@ -292,8 +295,6 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
@@ -314,7 +315,9 @@ class Polynomial:
         variable s uses, and the quotient is a shift by -s times 1/c, with no
         merge loop, as ``*`` by one term.  Any other divisor: division in the
         canonical term order, whose quotient/remainder split is unique, so a
-        leading term that fails to divide certifies indivisibility.
+        leading term that fails to divide certifies indivisibility.  That
+        leading term comes off a heap of the remainder's exponents, keyed by
+        (-degree, -exponents); one cancelled since it entered is skipped.
         """
         divisor = self._coerce(divisor)
         if divisor is None:
@@ -329,9 +332,13 @@ class Polynomial:
                                      1 if lead_coefficient == 1 else 1 / Fraction(lead_coefficient))
         else:
             remainder = dict(self._terms)
+            heap = [(-sum(e), tuple(map(neg, e)), e) for e in remainder]
+            heapify(heap)
             quotient: dict[Exponents, Coefficient] = {}
             while remainder:
-                r_exponents = max(remainder, key=grlex_key)
+                r_exponents = heappop(heap)[2]
+                if r_exponents not in remainder:
+                    continue
                 shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
                 if any(s < 0 for s in shift):
                     break
@@ -339,6 +346,8 @@ class Polynomial:
                 quotient[shift] = factor
                 for exponents, coefficient in divisor._terms.items():
                     target = tuple(map(add, shift, exponents))
+                    if target not in remainder:
+                        heappush(heap, (-sum(target), tuple(map(neg, target)), target))
                     total = remainder.get(target, 0) - factor * coefficient
                     if total:
                         remainder[target] = total

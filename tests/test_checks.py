@@ -230,6 +230,16 @@ def test_cli_unwritable_json_path_is_a_configuration_error(monkeypatch, tmp_path
     assert not path.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("suite", ["wps", "all"])   # the records fail to fit the buffer in all
+def test_cli_failed_json_write_is_a_configuration_error(suite, capsys):
+    assert main(["verify", suite, "--json", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: cannot write --json output '/dev/full': "
+                            "No space left on device\n")
+    assert " checks: " not in captured.out
+
+
 def test_cli_bad_pencil_leaves_the_json_path_untouched(tmp_path, capsys):
     kept = tmp_path / "kept.jsonl"
     kept.write_text("keep\n")

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -111,11 +112,18 @@ def test_unchecked_results_equal_the_naive_oracle():
     check()
 
 
-def test_scalars_compare_as_constants_and_foreign_operands_raise_type_error():
-    assert not X1 == 1
+def test_scalars_never_equal_polynomials_and_foreign_operands_raise_type_error():
+    three, pencil_three = Polynomial.constant(P3_VARS, 3), Polynomial.constant(PENCIL_VARS, 3)
+    for scalar in (3, Fraction(3), Fraction(3, 2)):
+        assert three != scalar and scalar != three and pencil_three != scalar
+    assert three != pencil_three
+    assert len({three, 3}) == 2
+    assert three == Polynomial(P3_VARS, {(0, 0, 0, 0): Fraction(6, 2)})
+    assert hash(three) == hash(Polynomial(P3_VARS, {(0, 0, 0, 0): Fraction(6, 2)}))
     assert not X1 == "x1"
-    assert Polynomial.constant(P3_VARS, 3) == 3
-    assert Polynomial.constant(P3_VARS, 1) / 2 == Fraction(1, 2)
+    assert Polynomial.constant(P3_VARS, 1) / 2 == Polynomial.constant(P3_VARS, Fraction(1, 2))
+    assert 3 + X1 - 1 == X1 + 2 and 2 - X1 == -(X1 - 2) and Fraction(1, 2) * X1 == X1 / 2
+    assert (X1 ** 2 - X1).exact_divide(X1 - 1) == X1 and (2 * X1).exact_divide(2) == X1
     for operation in (lambda: X1 + "a", lambda: "a" - X1, lambda: X1 - None,
                       lambda: X1 * None, lambda: X1 / X1):
         with pytest.raises(TypeError):
@@ -237,6 +245,23 @@ def test_exact_divide_round_trip_randomized():
         q = rand_poly(rng, ("a", "b"), max_terms=3)
         g = rand_poly(rng, ("a", "b"), max_terms=3, allow_zero=False)
         assert (q * g).exact_divide(g) == q
+    # divisors of 2-5 terms over 3 or 4 variables, rational and mostly not homogeneous
+    for ring in (("a", "b", "c"), P3_VARS) * 50:
+        q = rand_poly(rng, ring, max_terms=6, max_exp=3)
+        g = Polynomial.zero(ring)
+        while not 2 <= len(g) <= 5:
+            g = rand_poly(rng, ring, max_terms=5, max_exp=3)
+        assert (q * g).exact_divide(g) == q
+
+
+def test_exact_divide_is_not_quadratic_in_the_terms():
+    # (x1+x2+x3+x4)^20 has 1771 terms: a division that scanned the whole
+    # remainder for each quotient term took about 64 products' time.
+    power, divisor = (X1 + X2 + X3 + X4) ** 20, X1 + 2 * X2 + 3 * X3
+    product = power * divisor
+    best = lambda run: min(timeit.repeat(run, number=1, repeat=3))
+    assert product.exact_divide(divisor) == power
+    assert best(lambda: product.exact_divide(divisor)) <= 20 * best(lambda: power * divisor)
 
 
 def test_canonical_form_drops_zero_terms():
@@ -440,5 +465,8 @@ def test_round_trip_randomized():
 
 
 def test_polynomials_are_immutable():
-    with pytest.raises(AttributeError):
-        X1.ring = ("x1",)
+    for mutate in (lambda: setattr(X1, "ring", ("x1",)), lambda: delattr(X1, "_terms"),
+                   lambda: delattr(X1, "ring")):
+        with pytest.raises(AttributeError, match="Polynomial is immutable"):
+            mutate()
+    assert X1.ring == P3_VARS and X1.items() == (((1, 0, 0, 0), 1),)

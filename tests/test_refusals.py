@@ -38,6 +38,9 @@ CASES = {
     **{f"system-set-{name}": (lambda name=name: setattr(LinearSystem(P3_VARS, 1, [X1]), name, 0),
                               AttributeError, "LinearSystem is immutable")
        for name in ("ring", "degree", "generators", "rank", "_span", "row_space")},
+    **{f"system-del-{name}": (lambda name=name: delattr(LinearSystem(P3_VARS, 1, [X1]), name),
+                              AttributeError, "LinearSystem is immutable")
+       for name in ("ring", "degree", "generators", "rank", "_span")},
     "system-repr": (lambda: repr(LinearSystem(P3_VARS, 1, [X1, 2 * X1, X2])), None,
                     "LinearSystem(degree=1, generators=2, ring=('x1', 'x2', 'x3', 'x4'))"),
     "member-ring": (lambda: LinearSystem(P3_VARS, 1, [X1]).member(XY),

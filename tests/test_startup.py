@@ -59,14 +59,14 @@ def test_verify_without_json_output_loads_no_json():
     assert "json" not in _loaded("-m", "fano72", "verify", "all")
 
 
-def test_submodules_are_attributes_and_unknown_names_are_not():
-    # In a fresh process the package's __getattr__ imports the submodule asked for, alone.
-    loaded = _loaded("-c", "import sys, fano72; "
-                           "assert fano72.linsys is sys.modules['fano72.linsys']")
-    assert "fano72.linsys" in loaded
-    assert not loaded & {"fano72.checks", "fano72.cli", "fano72.bundles", "fano72.wps"}
-    for name in fano72._SUBMODULES:
-        assert getattr(fano72, name) is importlib.import_module(f"fano72.{name}")
+def test_submodules_import_and_unknown_names_are_refused():
+    # In a fresh process the import system, not the package's __getattr__, loads a submodule.
+    loaded = _loaded("-c", "import sys; from fano72 import checks; "
+                           "assert checks is sys.modules['fano72.checks']")
+    assert "fano72.checks" in loaded
     with pytest.raises(AttributeError, match="no attribute 'hilbert_cont'"):
         fano72.hilbert_cont
-    assert fano72.checks.ConfigurationError is fano72.ConfigurationError
+    with pytest.raises(AttributeError) as refused:
+        getattr(fano72, "z" * 10 ** 5)
+    assert len(str(refused.value)) < 200
+    assert importlib.import_module("fano72.checks").ConfigurationError is fano72.ConfigurationError
