@@ -174,11 +174,13 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> lis
 class LinearSystem:
     """A span of homogeneous degree-d forms in a fixed ring, built whole.
 
-    Generators are rescaled to primitive integer form (the row normaliser
-    ``_to_int_row``: content 1, last term positive), deduplicated, and zero inputs
-    dropped; the span is unchanged by any of this.  A generator that is
-    primitive already is kept as the same object, the others as their
-    primitive rows.  So each generator is normalised once, here, and its
+    Generators are rescaled to primitive integer form (content 1, last term
+    positive), deduplicated, and zero inputs dropped; the span is unchanged
+    by any of this.  An integral row goes straight to ``_primitive``, which
+    returns a primitive row as it is, and a row with a ``Fraction`` through
+    the row normaliser ``_to_int_row``.  A generator whose row comes back
+    as it is, primitive already, is kept as the same object, the others as
+    their primitive rows.  So each generator is normalised once, here, and its
     term dict, keyed by exponent tuple, is its primitive integer row: the
     private span, made here too, inserts those rows without normalising
     them again, and ``rank`` is its rank.  No slot changes after construction.
@@ -201,8 +203,9 @@ class LinearSystem:
             if any(sum(e) != degree for e in terms):        # unit weights: the exponent sums
                 raise ValueError(f"generator {clip(g, 60)} is not homogeneous "
                                  f"of degree {clip(degree)}")
-            row = _to_int_row(terms)
-            primitive.append(g if row == terms else Polynomial._canonical(ring, row))
+            row = (_primitive(terms) if all(type(k) is int for k in terms.values())
+                   else _to_int_row(terms))
+            primitive.append(g if row is terms else Polynomial._canonical(ring, row))
         generators = tuple(dict.fromkeys(primitive))
         span = RowSpace()
         for g in generators:                # each term dict is a primitive integer row

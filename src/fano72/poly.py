@@ -11,7 +11,8 @@ shared loop.  The only constructions that skip it are a single term (a
 scalar operand too) and a product with, or exact quotient by, a one-term
 factor c*x^s, ``-f`` and ``f / c`` among them (s = 0): grlex is a monomial
 order, so adding s to every exponent, or taking it from exponents that
-reach it, keeps the canonical term order and no two terms collide.
+reach it, keeps the canonical term order and no two terms collide; a
+shift by c = 1 copies the coefficients as they are.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -149,7 +150,11 @@ class Polynomial:
         shift only after a divisibility check).  A shift keeps the grlex
         order, so no terms collide; a product of nonzero values is nonzero,
         and an integral one is stored as ``int``, as ``_merged_terms`` does.
+        A factor of 1, the common case, copies the coefficients as they are.
         """
+        if factor == 1:
+            return self._canonical(self.ring, {tuple(map(add, e, shift)): k
+                                               for e, k in self._terms.items()})
         return self._canonical(self.ring, {tuple(map(add, e, shift)):
                                            c if (c := k * factor).denominator > 1 else c.numerator
                                            for e, k in self._terms.items()})
@@ -317,7 +322,9 @@ class Polynomial:
         canonical term order, whose quotient/remainder split is unique, so a
         leading term that fails to divide certifies indivisibility.  That
         leading term comes off a heap of the remainder's exponents, keyed by
-        (-degree, -exponents); one cancelled since it entered is skipped.
+        (-degree, -exponents); one cancelled since it entered is skipped.  A
+        quotient step stays in ``int`` when both leading coefficients are
+        ``int`` and the divisor's divides the remainder's.
         """
         divisor = self._coerce(divisor)
         if divisor is None:
@@ -342,7 +349,9 @@ class Polynomial:
                 shift = tuple(a - b for a, b in zip(r_exponents, lead_exponents))
                 if any(s < 0 for s in shift):
                     break
-                factor = Fraction(remainder[r_exponents]) / lead_coefficient
+                r = remainder[r_exponents]
+                factor = (r // lead_coefficient if type(r) is type(lead_coefficient) is int
+                          and not r % lead_coefficient else Fraction(r) / lead_coefficient)
                 quotient[shift] = factor
                 for exponents, coefficient in divisor._terms.items():
                     target = tuple(map(add, shift, exponents))
@@ -426,8 +435,9 @@ def substitute_all(polys: Iterable[Polynomial],
                         f"occurring in {clip(p, 60)}")
                 if name in single:
                     monomial, factor = single[name]
-                    shift = tuple(s + e * i for s, i in zip(shift, monomial))
-                    coefficient *= factor ** e
+                    shift = tuple([s + e * i for s, i in zip(shift, monomial)])
+                    if factor != 1:
+                        coefficient *= factor ** e
                 else:
                     key.append((name, e))
             key = tuple(key)

@@ -15,10 +15,11 @@ embedded P(1, 1, 4, 6).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from operator import mul
 
-from .grading import clip
+from .grading import check_weights, clip
 from .linalg import LinearSystem
-from .poly import Exponents, Polynomial, is_homogeneous, substitute_all
+from .poly import Exponents, Polynomial, _checked_terms, is_homogeneous, substitute_all
 
 TARGET_VARS = ("y1", "y2", "y3", "y4")
 
@@ -59,18 +60,23 @@ def pullback_system(images: Mapping[str, Polynomial], basis: Sequence[Exponents]
     """Pull a one-degree family of target monomials back to a linear system.
 
     The target ring is the dict's keys and its weights are the images'
-    degrees.  One checked degree test validates the whole basis, so its
-    monomials are built unchecked, and all of them go through one
-    :func:`substitute_all` call: for the images (x1, x2, x3*xi, x1*x2*x4*xi)
-    each monomial's image is a shift of one memoised product
-    (x3*xi)^c * (x1*x2*x4*xi)^d.  ``LinearSystem`` keeps each image that is
-    primitive already, as all are for the default cubic, and takes the
-    primitive row of the rest.
+    degrees, checked as weights (a constant image has weight 0).  The
+    constructor's own check, ``_checked_terms``, validates the basis's
+    exponent tuples, and the set of their weighted degrees must hold one
+    value, so the monomials are built unchecked and unmerged, and all of
+    them go through one :func:`substitute_all` call: for the images
+    (x1, x2, x3*xi, x1*x2*x4*xi) each monomial's image is a shift of one
+    memoised product (x3*xi)^c * (x1*x2*x4*xi)^d.  ``LinearSystem`` keeps
+    each image that is primitive already, as all are for the default cubic,
+    and takes the primitive row of the rest.
     """
     target = tuple(images)
-    degree = is_homogeneous(Polynomial(target, {e: 1 for e in basis}), image_degrees(images))
-    if degree is None:
+    if not target:
+        raise ValueError("a polynomial ring needs at least one variable")
+    basis = [e for e, _ in _checked_terms(target, ((e, 1) for e in basis))]
+    weights = check_weights(image_degrees(images))
+    degrees = {sum(map(mul, e, weights)) for e in basis}
+    if len(degrees) != 1:
         raise GradingError("basis monomials must be nonempty and share one weighted degree")
-    monomials = [Polynomial._term(target, e, 1) for e in basis]
-    pulled = substitute_all(monomials, images)
-    return LinearSystem(pulled[0].ring, degree, pulled)
+    pulled = substitute_all([Polynomial._canonical(target, {e: 1}) for e in basis], images)
+    return LinearSystem(pulled[0].ring, degrees.pop(), pulled)

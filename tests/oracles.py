@@ -278,6 +278,34 @@ def closed_sum_count(a: int, b: int, degree: int) -> int:
     return total
 
 
+# -- the root-finder oracle ------------------------------------------------
+
+def cauchy_rational_roots(coeffs) -> list[Fraction]:
+    """The rational roots of a0 + a1*t + a2*t^2 + a3*t^3, ascending, [] unless all
+    three are rational: the same bisection as the library's, searched inside
+    Cauchy's bound 1 + max|b| of the monic g(u) = u^3 + b2*u^2 + b1*u + b0."""
+    a0, a1, a2, a3 = coeffs
+    b2, b1, b0 = a2, a1 * a3, a0 * a3 * a3
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+
+    def largest(b2: int, b1: int, b0: int) -> int:
+        low, high = -bound, bound
+        while high - low > 1:
+            u = (low + high) // 2
+            g, dg, ddg = ((u + b2) * u + b1) * u + b0, (3 * u + 2 * b2) * u + b1, 3 * u + b2
+            if g > 0 and dg > 0 and ddg > 0:
+                high = u
+            else:
+                low = u
+        return low
+
+    high, low = largest(b2, b1, b0), -largest(-b2, b1, -b0)
+    middle = -b2 - low - high
+    if (low * middle + low * high + middle * high, low * middle * high) != (b1, -b0):
+        return []
+    return sorted(Fraction(u, a3) for u in (low, middle, high))
+
+
 # -- the randomized property suites (counts chosen by the caller) -----------
 
 def ring_axiom_failures(seed: int, cases: int) -> list[str]:

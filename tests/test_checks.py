@@ -12,7 +12,7 @@ import pytest
 import fano72
 from fano72 import (ConfigurationError, LinearSystem, Polynomial, VerifyConfig,
                     build_degree12_system, checks, generators, grading, linalg,
-                    linsys, ratmap, run_all, wps)
+                    linsys, poly, ratmap, run_all, wps)
 from fano72.checks import (CheckRecord, resolve_pencil, scroll_suite,
                            theorem_suite)
 from fano72.cli import MAX_LISTED, main
@@ -131,6 +131,23 @@ def test_run_all_builds_each_system_once(monkeypatch):
         calls.clear()
         assert all(r.status == "PASS" for r in run_all(VerifyConfig(suite=suite)))
         assert sorted(calls) == expected, suite
+
+
+def test_run_all_merges_terms_62_times(monkeypatch):
+    # A deterministic guard on the merge loop, the costliest construction: one
+    # default run_all merges 62 times (64 when pullback_system checked its
+    # basis through a merged polynomial, once per system).  A change that brings
+    # a merge back to the build path fails here without any timing.
+    merges = []
+    merge = poly._merged_terms
+
+    def counted(terms):
+        merges.append(None)
+        return merge(terms)
+
+    monkeypatch.setattr(poly, "_merged_terms", counted)
+    assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
+    assert len(merges) == 62
 
 
 def test_run_all_lists_the_anticanonical_basis_twice(monkeypatch):

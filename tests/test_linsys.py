@@ -19,7 +19,8 @@ from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
                            constraint_rows, sextic_constraint_rows, solve_constraints)
 
-from oracles import degree12_shapes, primitive_form, rref_rank, sextic_shapes, valuation_failures
+from oracles import (cauchy_rational_roots, degree12_shapes, primitive_form, rref_rank,
+                     sextic_shapes, valuation_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 DEFAULT = PencilCubic.default()
@@ -150,6 +151,34 @@ def test_fuzzed_cubics_resolve_to_themselves_or_are_refused():
         else:
             assert pencil.cubic == cubic
         assert time.perf_counter() - started < 1
+
+    check()
+
+
+def test_rational_roots_agree_with_the_cauchy_bound_search():
+    # The bisection runs inside a Fujiwara-type bound, far below Cauchy's for
+    # tall coefficients; it must find what the search inside Cauchy's bound
+    # finds, for split cubics (repeated and zero roots too) and for others.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    height = st.integers(0, 400).map(lambda bits: 2 ** bits)
+    coefficient = height.flatmap(lambda h: st.integers(-h, h))
+    lead = coefficient.filter(bool)
+    plane = st.tuples(coefficient, lead)
+
+    def product(scale, planes):           # scale * prod(q*t - p), low degree first
+        coeffs = [scale]
+        for p, q in planes:
+            coeffs = [q * high - p * low for low, high in zip(coeffs + [0], [0] + coeffs)]
+        return tuple(coeffs)
+
+    cubics = st.one_of(st.tuples(coefficient, coefficient, coefficient, lead),
+                       st.builds(product, lead, st.lists(plane, min_size=3, max_size=3)))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cubics)
+    def check(coeffs):
+        assert linsys._rational_roots(coeffs) == cauchy_rational_roots(coeffs)
 
     check()
 
@@ -535,10 +564,12 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
     # of xi, so the products are those of the image powers and the blocks
     # (4 and 0), none of them with 1, not one or more per generator (126 and
     # 38 when every monomial was multiplied out).  A single term and a product
-    # with a one-term factor skip the merge loop, so the merges are the
-    # checked basis and, at degree 12, the four products of multi-term
-    # images: (x3*xi)^2, (x3*xi)^3, (x1*x2*x4*xi)^2 and their block (1, 1),
-    # not 88 and 28 as when every one-term product went through the merge.
+    # with a one-term factor skip the merge loop, and the basis is checked
+    # term by term, with no merged polynomial (one merge each before), so the
+    # merges are, at degree 12, the four products of multi-term images:
+    # (x3*xi)^2, (x3*xi)^3, (x1*x2*x4*xi)^2 and their block (1, 1), and none
+    # at degree 6, not 88 and 28 as when every one-term product went through
+    # the merge.
     calls, merges = [], []
     multiply, merge = Polynomial.__mul__, poly._merged_terms
 
@@ -552,7 +583,7 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     monkeypatch.setattr(poly, "_merged_terms", counted_merge)
-    for build, bound, merged in ((build_degree12_system, 4, 5), (build_sextic_system, 0, 1)):
+    for build, bound, merged in ((build_degree12_system, 4, 4), (build_sextic_system, 0, 0)):
         calls.clear()
         merges.clear()
         build(DEFAULT)
@@ -628,20 +659,40 @@ def test_hand_made_generators_are_normalised_once_into_their_span():
 
 def test_a_span_normalises_each_generator_once(monkeypatch):
     # LinearSystem makes each generator's primitive integer row once, and its
-    # span inserts those rows as they are: 39 and 11 normalisations for the
-    # two systems, not twice that as when the span normalised them again.
-    calls = []
-    normalise = linalg._to_int_row
+    # span inserts those rows as they are.  An all-int row goes straight to
+    # _primitive, which hands a primitive row back as it is, so for the
+    # default pencil each generator's own term dict is made primitive once and
+    # no row goes through _to_int_row (39 and 11 calls before, one per
+    # generator).  With the scale 1/6 the images with a factor of xi, 26 of
+    # 39 and 4 of 11, have Fraction rows, and each goes through _to_int_row
+    # once.  No row is normalised twice, as when the span normalised them
+    # again.
+    primitive, normalise = linalg._primitive, linalg._to_int_row
+    made_primitive, normalised = [], []
 
-    def counted(row):
-        calls.append(None)
+    def counted_primitive(row):
+        made_primitive.append(row)
+        return primitive(row)
+
+    def counted_normalise(row):
+        normalised.append(row)
         return normalise(row)
 
-    monkeypatch.setattr(linalg, "_to_int_row", counted)
-    for build, count in ((build_degree12_system, 39), (build_sextic_system, 11)):
-        calls.clear()
-        assert build(DEFAULT).rank == count
-        assert len(calls) == count, build.__name__
+    monkeypatch.setattr(linalg, "_primitive", counted_primitive)
+    monkeypatch.setattr(linalg, "_to_int_row", counted_normalise)
+    fractional = PencilCubic.from_roots((1, 2, 3), Fraction(1, 6))
+    for pencil, build, count, with_fractions in (
+            (DEFAULT, build_degree12_system, 39, 0), (DEFAULT, build_sextic_system, 11, 0),
+            (fractional, build_degree12_system, 39, 26), (fractional, build_sextic_system, 11, 4)):
+        made_primitive.clear()
+        normalised.clear()
+        system = build(pencil)
+        assert system.rank == count
+        assert len({id(row) for row in normalised}) == len(normalised) == with_fractions
+        assert all(any(type(k) is Fraction for k in row.values()) for row in normalised)
+        if not with_fractions:
+            assert [sum(row is g._terms for row in made_primitive)
+                    for g in system.generators] == [1] * count, build.__name__
 
 
 def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from fano72 import (ArityError, ExactDivisionError, ParseError, Polynomial,
                     SubstitutionError, generators, parse_polynomial,
                     substitute_all)
+from fano72 import poly
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, coordinate_plane_residual,
                            restrict_to_pencil, restrict_to_pencil_plane)
 
@@ -163,23 +164,55 @@ def test_substitute_all_shares_one_table_against_the_oracle():
 
 
 def test_substitute_all_shifts_shared_products_against_the_oracle():
-    # a and b have single-term images with negative Fraction coefficients, so
-    # they act as shifts; c and d have multi-term images and e the zero image,
-    # and the batch repeats their (variable, exponent) keys across polynomials
+    # a and b have single-term images, scaled by negative Fractions, by ints
+    # other than 1 or by 1 (whose powers are not taken), so they act as
+    # shifts; c and d have multi-term images and e the zero image, and the
+    # batch repeats their (variable, exponent) keys across polynomials
     ring, target = ("a", "b", "c", "d", "e"), ("u", "v", "w")
-    images = [{(1, 0, 2): Fraction(-3, 4)}, {(0, 2, 1): Fraction(-5, 2)},
-              {(1, 0, 0): 2, (0, 1, 0): Fraction(-1, 3)},
-              {(0, 0, 1): Fraction(7, 5), (1, 1, 0): -1, (2, 0, 0): 3}, {}]
     batch = [{(2, 1, 1, 0, 0): 1, (0, 3, 1, 0, 0): Fraction(-2, 3), (1, 0, 0, 2, 0): 5},
              {(0, 0, 1, 0, 0): Fraction(9, 7), (3, 0, 1, 0, 0): -4, (0, 1, 0, 2, 0): 1},
              {(1, 1, 1, 2, 0): 2, (0, 0, 1, 2, 0): -1, (2, 0, 0, 0, 0): Fraction(1, 6)},
              {(1, 0, 0, 0, 1): 3, (0, 0, 1, 2, 0): 1},
              {(0, 0, 0, 0, 2): 8}]
-    pulled = substitute_all([Polynomial(ring, f) for f in batch],
-                            {v: Polynomial(target, i) for v, i in zip(ring, images)})
-    for f, result in zip(batch, pulled):
-        assert list(result.items()) == canonical_items(naive_substitute(f, images, len(target)))
-    assert not pulled[-1] and pulled[3]
+    for a, b in ((Fraction(-3, 4), Fraction(-5, 2)), (-3, 2), (1, 1)):
+        images = [{(1, 0, 2): a}, {(0, 2, 1): b},
+                  {(1, 0, 0): 2, (0, 1, 0): Fraction(-1, 3)},
+                  {(0, 0, 1): Fraction(7, 5), (1, 1, 0): -1, (2, 0, 0): 3}, {}]
+        pulled = substitute_all([Polynomial(ring, f) for f in batch],
+                                {v: Polynomial(target, i) for v, i in zip(ring, images)})
+        for f, result in zip(batch, pulled):
+            assert list(result.items()) == canonical_items(naive_substitute(f, images, len(target)))
+        assert not pulled[-1] and pulled[3]
+
+
+def test_a_shift_by_one_keeps_each_coefficient_as_it_is():
+    # A factor of 1 copies the coefficients: each keeps its value and its
+    # type, int or Fraction, as f / 1 does, whose factor is Fraction(1).
+    f = Polynomial(P3_VARS, {(2, 0, 1, 0): 3, (1, 1, 0, 0): Fraction(-2, 5), (0, 0, 0, 1): -7})
+    shift = (1, 0, 0, 2)
+    for result, moved in ((f._shifted(shift, 1), shift), (f / 1, (0, 0, 0, 0))):
+        assert [(e, k, type(k)) for e, k in result.items()] == \
+            [(tuple(a + s for a, s in zip(e, moved)), k, type(k)) for e, k in f.items()]
+
+
+def test_exact_divide_stays_in_int_when_the_leading_coefficients_divide(monkeypatch):
+    # Each quotient step of this division divides an int by the divisor's
+    # leading coefficient 1, so it builds no Fraction (every one of the 1771
+    # steps built one through Fraction(remainder) / lead before).
+    power, divisor = (X1 + X2 + X3 + X4) ** 20, X1 + 2 * X2 + 3 * X3
+    product = power * divisor
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(poly, "Fraction", Counted)
+    quotient = product.exact_divide(divisor)
+    assert built == []
+    assert quotient == power
+    assert all(type(k) is int for _, k in quotient.items())
 
 
 def test_substitute_identity_map():

@@ -17,7 +17,7 @@ from fano72 import (ArityError, ExactDivisionError, GradingError, InvalidPencilE
                     SubstitutionError, WeightedProjectiveSpace, coordinate_plane_residual,
                     check_weights, enumerate_monomials, generators, hilbert_count,
                     image_degrees, is_homogeneous, multiplicity_along_line, parse_polynomial,
-                    substitute_all)
+                    pullback_system, substitute_all, weighted_parametrization)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 XY = Polynomial.variable(("x", "y"), "x")
@@ -27,6 +27,7 @@ V0 = Polynomial.variable(MANY, "v0")
 MANY_TEXT = "('v0', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6', 'v7', 'v8', 'v9',..."
 NAME = "z" * 10 ** 5
 NAME_TEXT, NAME_REPR = "z" * 20 + "...", "'" + "z" * 19 + "..."
+ETA = weighted_parametrization(PencilCubic.default())
 
 
 CASES = {
@@ -130,6 +131,18 @@ CASES = {
                         GradingError, f"image of {NAME_TEXT} is not homogeneous: x2^2 + x1"),
     "homogeneous-arity": (lambda: is_homogeneous(X1, (1, 1)), ArityError,
                           "ring arity 4 does not match weight arity 2"),
+    # pullback_system: the target's weights, then the basis
+    "pullback-constant-image": (lambda: pullback_system({**ETA, "y3": X1 ** 0}, [(12, 0, 0, 0)]),
+                                ValueError, "weights must be integers >= 1, got 0 at entry 2 of 4"),
+    "pullback-empty-basis": (lambda: pullback_system(ETA, []), GradingError,
+                             "basis monomials must be nonempty and share one weighted degree"),
+    "pullback-mixed-degrees": (lambda: pullback_system(ETA, [(12, 0, 0, 0), (1, 0, 0, 0)]),
+                               GradingError,
+                               "basis monomials must be nonempty and share one weighted degree"),
+    "pullback-arity": (lambda: pullback_system(ETA, [(1, 2)]), ArityError,
+                       "exponent tuple (1, 2) has length 2, ring has 4 variables"),
+    "pullback-no-images": (lambda: pullback_system({}, [()]),
+                           ValueError, "a polynomial ring needs at least one variable"),
     # weighted projective spaces and bundles
     "wps-repr": (lambda: repr(WeightedProjectiveSpace((1, 1, 4, 6))), None, "P(1, 1, 4, 6)"),
     "bundle-text-twist": (lambda: SplitBundle((1, "a")),
