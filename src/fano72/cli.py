@@ -77,7 +77,7 @@ def _open_json(path: str | None):
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
-    from .checks import VerifyConfig, run_all
+    from .checks import CheckRecord, VerifyConfig, run_all
     config = VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed)
     config.pencil    # a bad pencil stops here, before --json can truncate or create its file
     with _open_json(args.json) as handle:
@@ -85,10 +85,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _print_records(records)
         if handle:
             import json
-            from dataclasses import asdict
+            from dataclasses import fields
+            # each record's fields in declaration order, as dataclasses.asdict gives
+            # them but without its deep copy of every value
+            names = [field.name for field in fields(CheckRecord)]
+            lines = (json.dumps({name: getattr(r, name) for name in names}) + "\n"
+                     for r in records)
             try:
                 with handle:    # closing flushes: a full disk raises here, once
-                    handle.writelines(json.dumps(asdict(r)) + "\n" for r in records)
+                    handle.writelines(lines)
             except OSError as error:
                 raise _unwritable(args.json, error)
     failed = sum(1 for r in records if r.status == "FAIL")

@@ -14,11 +14,17 @@ planes) describe either system a second way.  ``conditions_report`` is the
 one span comparison: it decides, by a rank count and an annihilation
 check, whether they cut out exactly a given system.  ``solve_constraints``
 solves them.
+
+Both systems are integral and every check on a member is projective, so an
+integral pencil cubic keeps a run in ``int``: ``PencilCubic.from_roots``
+multiplies the integer factors q*x2 - p*x1 of its roots p/q,
+``random_member`` returns an integer multiple of its rational combination,
+and the restrictions read a polynomial's term dict without copying it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import ItemsView, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -107,7 +113,17 @@ class PencilCubic:
 
     @classmethod
     def from_roots(cls, roots: Sequence[Fraction | int], scale: Fraction | int = 1) -> PencilCubic:
-        roots = tuple(Fraction(r) for r in roots)
+        """scale * (x2 - t1*x1)(x2 - t2*x1)(x2 - t3*x1) for int or Fraction roots and scale.
+
+        For roots t = p/q the integer factors q*x2 - p*x1 are multiplied,
+        and their product is scaled once by scale / (q1*q2*q3).
+        """
+        roots = tuple(roots)
+        for value in (*roots, scale):
+            if not isinstance(value, (int, Fraction)):
+                raise InvalidPencilError(f"pencil roots and the scale must be int or Fraction, "
+                                         f"got {clip(value, render=repr)}")
+        roots = tuple(map(Fraction, roots))
         scale = Fraction(scale)
         if len(roots) != 3:
             raise InvalidPencilError(f"need exactly three pencil roots, got {len(roots)}")
@@ -118,9 +134,10 @@ class PencilCubic:
             raise InvalidPencilError("pencil roots must be nonzero (the plane x2 = 0 is reserved)")
         if scale == 0:
             raise InvalidPencilError("the pencil cubic must be nonzero")
-        cubic = Polynomial._term(P3_VARS, (0, 0, 0, 0), scale)
-        for root in roots:
-            cubic = cubic * (X2 - root * X1)
+        p, q = zip(*(root.as_integer_ratio() for root in roots))
+        factors = (Polynomial._canonical(P3_VARS, {(1, 0, 0, 0): -pk, (0, 1, 0, 0): qk})
+                   for pk, qk in zip(p, q))
+        cubic = reduce(mul, factors) * (scale / (q[0] * q[1] * q[2]))
         return cls(cubic, tuple(sorted(roots)))
 
     @classmethod
@@ -176,14 +193,15 @@ def multiplicity_along_line(f: Polynomial) -> int:
     return min(a + b for (a, b, _, _), _ in items)
 
 
-def _p3_items(f: Polynomial) -> tuple[tuple[Exponents, Coefficient], ...]:
+def _p3_items(f: Polynomial) -> ItemsView[Exponents, Coefficient]:
+    """The terms of a polynomial in the P^3 ring, as a view: no copy is made."""
     if f.ring != P3_VARS:
         raise ArityError(f"expected a polynomial in the ring {P3_VARS}, got {clip(f.ring, 60)}")
-    return f.items()
+    return f._terms.items()
 
 
 # Each restriction below sends a term of a valid polynomial to at most one
-# term, so it maps f.items() directly; the shared merge loop sums collisions,
+# term, so it maps the terms directly; the shared merge loop sums collisions,
 # except on one pencil plane, whose sums are taken in integers first.
 
 def restrict_to_pencil(f: Polynomial) -> Polynomial:
@@ -349,9 +367,16 @@ def solve_sextic_constraints(pencil: PencilCubic) -> LinearSystem:
 
 
 def random_member(system: LinearSystem, rng) -> Polynomial:
-    """A pseudo-random rational combination of the generators, all coefficients nonzero."""
-    terms: list[tuple[Exponents, Coefficient]] = []
-    for g in system.generators:
-        coefficient = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
-        terms.extend((coefficient * g).items())
-    return Polynomial._from_valid_terms(system.ring, terms)
+    """A pseudo-random combination of the generators, all coefficients nonzero.
+
+    Each generator g_i draws +-a_i/b_i (a_i, b_i in 1..9) from ``rng``, in
+    generator order, and the member is L * sum(+-a_i/b_i * g_i) with L the lcm
+    of the b_i: the same surface as the rational combination, with the
+    integer weights +-a_i*(L // b_i), so no Fraction is made.
+    """
+    draws = [(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+             for _ in system.generators]
+    common = lcm(*(b for _, b in draws))
+    factors = [a * (common // b) for a, b in draws]
+    return Polynomial._from_valid_terms(system.ring, (
+        (e, c * k) for g, c in zip(system.generators, factors) for e, k in g._terms.items()))

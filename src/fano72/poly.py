@@ -12,7 +12,11 @@ scalar operand too) and a product with, or exact quotient by, a one-term
 factor c*x^s, ``-f`` and ``f / c`` among them (s = 0): grlex is a monomial
 order, so adding s to every exponent, or taking it from exponents that
 reach it, keeps the canonical term order and no two terms collide; a
-shift by c = 1 copies the coefficients as they are.
+shift by c = 1 copies the coefficients as they are.  Every construction
+but the checked constructor ends in ``_canonical``, which fills the two
+slots through their own descriptors.  The package's readers of the terms
+(``is_homogeneous``, the restrictions in ``linsys``) iterate over the term
+dict itself, not the tuple that ``items()`` copies.
 
 The text format round-trips bit-exactly through :func:`parse_polynomial`
 and ``str()``::
@@ -27,7 +31,8 @@ and ``str()``::
 
 Whitespace may surround any token.  A digit is any Unicode decimal digit, as
 ``int()`` reads it; denominators are nonzero, and no literal is longer than
-``int()``'s digit limit.
+``int()``'s digit limit.  An integer literal stays an ``int``; only a
+literal with '/' makes a Fraction.
 """
 
 from __future__ import annotations
@@ -123,10 +128,13 @@ class Polynomial:
 
     @classmethod
     def _canonical(cls, ring: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> Polynomial:
-        """The polynomial of a term dict in canonical form already: no check, no merge."""
+        """The polynomial of a term dict in canonical form already: no check, no merge.
+
+        Its slots are filled through their descriptors, ``_set_ring`` and ``_set_terms``.
+        """
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_terms", terms)
+        _set_ring(p, ring)
+        _set_terms(p, terms)
         return p
 
     @classmethod
@@ -384,6 +392,12 @@ class Polynomial:
     __repr__ = __str__
 
 
+# The slots' own setters, for _canonical alone: they bypass the refusing
+# __setattr__, as object.__setattr__ does, without its lookup by name.
+_set_ring = Polynomial.ring.__set__
+_set_terms = Polynomial._terms.__set__
+
+
 def substitute_all(polys: Iterable[Polynomial],
                    images: Mapping[str, Polynomial]) -> list[Polynomial]:
     """Replace every variable of each polynomial by its image, fully expanded.
@@ -463,7 +477,7 @@ def is_homogeneous(f: Polynomial, weights: Sequence[int]) -> int | None:
     weights = check_weights(weights)
     if len(f.ring) != len(weights):
         raise ArityError(f"ring arity {len(f.ring)} does not match weight arity {len(weights)}")
-    degrees = {sum(map(mul, exponents, weights)) for exponents in f.monomials()}
+    degrees = {sum(map(mul, exponents, weights)) for exponents in f._terms}
     return degrees.pop() if len(degrees) == 1 else None
 
 
@@ -498,25 +512,31 @@ def _integer(digits: str) -> int:
 
 
 def parse_polynomial(text: str, ring: Sequence[str]) -> Polynomial:
-    """Parse polynomial text over the given ring; inverse of ``str()``."""
+    """Parse polynomial text over the given ring; inverse of ``str()``.
+
+    An integer literal stays an ``int``; only a literal with '/' makes a Fraction.
+    """
     ring = tuple(ring)
     match = re.match(_POLYNOMIAL, text)    # greedy: the longest prefix the grammar accepts
     stop = match.end() if match else 0
     if match is None or stop < len(text):
         raise ParseError(f"polynomial text does not match the grammar at column {stop + 1}: "
                          f"{clip(text[stop:])!r}")
-    terms: list[tuple[Exponents, Fraction]] = []
+    terms: list[tuple[Exponents, Coefficient]] = []
     for sign, body in re.findall(r"\s*([-+]?)([^-+]+)", text):
-        coefficient = Fraction(-1 if sign == "-" else 1)
+        coefficient = -1 if sign == "-" else 1
         exponents = [0] * len(ring)
         for piece in body.split("*"):
             piece = piece.strip()
             if piece[0].isdigit():
-                numerator, _, denominator = piece.partition("/")
-                denominator = _integer(denominator or "1")
-                if not denominator:
-                    raise ParseError("expected a positive integer denominator after '/'")
-                coefficient *= Fraction(_integer(numerator), denominator)
+                numerator, slash, denominator = piece.partition("/")
+                if slash:
+                    denominator = _integer(denominator)
+                    if not denominator:
+                        raise ParseError("expected a positive integer denominator after '/'")
+                    coefficient *= Fraction(_integer(numerator), denominator)
+                else:
+                    coefficient *= _integer(numerator)
             else:
                 name, _, power = piece.partition("^")
                 name = name.rstrip()

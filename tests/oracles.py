@@ -5,13 +5,15 @@ sums, products and substitutions are recomputed on plain term dicts, ranks
 by dense Gaussian elimination over fractions, graded pieces by brute-force
 exponent products, and Hilbert counts by literal truncated series
 multiplication, by the coin-change table filled to the degree or, at large
-degrees, by a closed sum.  Frozen expected values in the tests were produced
-by these oracles.
+degrees, by a closed sum; random members and pencil cubics as Fraction sums
+and products of term dicts.  Frozen expected values in the tests were
+produced by these oracles.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
@@ -304,6 +306,48 @@ def cauchy_rational_roots(coeffs) -> list[Fraction]:
     if (low * middle + low * high + middle * high, low * middle * high) != (b1, -b0):
         return []
     return sorted(Fraction(u, a3) for u in (low, middle, high))
+
+
+# -- random members, pencil cubics and Fraction counts ---------------------
+
+def rational_member(generators, rng: random.Random) -> tuple[dict, int]:
+    """The combination sum(+-a_i/b_i * g_i) of the generators' term dicts, with
+    a_i, b_i and the sign drawn from rng as random_member draws them, summed
+    over Fractions; and L, the lcm of the drawn b_i."""
+    total: dict = {}
+    common = 1
+    for g in generators:
+        numerator, denominator = rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9)
+        common = lcm(common, denominator)
+        total = naive_add(total, {e: Fraction(numerator, denominator) * c for e, c in g.items()})
+    return total, common
+
+
+def pencil_cubic_terms(roots, scale) -> dict:
+    """scale * (x2 - t1*x1)(x2 - t2*x1)(x2 - t3*x1) multiplied out over Fractions,
+    as a term dict in the ring (x1, x2, x3, x4)."""
+    cubic = {(0, 0, 0, 0): Fraction(scale)}
+    for t in roots:
+        cubic = naive_mul(cubic, {(0, 1, 0, 0): Fraction(1), (1, 0, 0, 0): -Fraction(t)})
+    return cubic
+
+
+def fraction_constructions(call):
+    """call() and the number of Fraction.__new__ calls it made, the results of
+    Fraction arithmetic among them, counted by a profile hook."""
+    code, made = Fraction.__new__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            made.append(None)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, len(made)
 
 
 # -- the randomized property suites (counts chosen by the caller) -----------

@@ -19,7 +19,7 @@ from fano72.cli import MAX_LISTED, main
 from fano72.grading import MAX_DEGREE, hilbert_count
 from fano72.linsys import P3_VARS
 
-from oracles import closed_sum_count
+from oracles import closed_sum_count, fraction_constructions
 
 X1, X2, X3, X4 = generators(P3_VARS)
 
@@ -133,11 +133,12 @@ def test_run_all_builds_each_system_once(monkeypatch):
         assert sorted(calls) == expected, suite
 
 
-def test_run_all_merges_terms_62_times(monkeypatch):
+def test_run_all_merges_terms_59_times(monkeypatch):
     # A deterministic guard on the merge loop, the costliest construction: one
-    # default run_all merges 62 times (64 when pullback_system checked its
-    # basis through a merged polynomial, once per system).  A change that brings
-    # a merge back to the build path fails here without any timing.
+    # default run_all merges 59 times (62 when PencilCubic.from_roots merged
+    # each factor X2 - root*X1, 64 when pullback_system also checked its basis
+    # through a merged polynomial, once per system).  A change that brings a
+    # merge back to the build path fails here without any timing.
     merges = []
     merge = poly._merged_terms
 
@@ -147,7 +148,18 @@ def test_run_all_merges_terms_62_times(monkeypatch):
 
     monkeypatch.setattr(poly, "_merged_terms", counted)
     assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
-    assert len(merges) == 62
+    assert len(merges) == 59
+
+
+def test_run_all_makes_seven_fractions():
+    # Every system is integral and every record is projective, so a default run
+    # stays in int: the three roots, the scale and its division by the roots'
+    # denominators in PencilCubic.from_roots, and the two self-intersections
+    # of the wps suite.  44 at a rational random member and a pencil cubic
+    # multiplied out over Fraction roots.
+    records, made = fraction_constructions(lambda: run_all(VerifyConfig()))
+    assert all(r.status == "PASS" for r in records)
+    assert made == 7
 
 
 def test_run_all_lists_the_anticanonical_basis_twice(monkeypatch):
@@ -518,6 +530,30 @@ def test_cli_exit_code_one_on_any_failure(monkeypatch, capsys):
     monkeypatch.setattr(checks, "run_all", lambda config: records)
     assert main(["verify"]) == 1
     assert "1 failed" in capsys.readouterr().out
+
+
+def test_cli_json_lines_are_asdict_dumps_byte_for_byte(monkeypatch, tmp_path):
+    # --json writes each record's fields in declaration order without asdict's
+    # deep copy; the bytes stay json.dumps(asdict(r)).  cli imports run_all
+    # from checks as the command runs, so the records are taken there.
+    records = []
+
+    def recorded_run_all(config):
+        records.extend(run_all(config))
+        return records
+
+    monkeypatch.setattr(checks, "run_all", recorded_run_all)
+    for argv in (["verify"], ["verify", "theorem", "--seed", "3"]):
+        records.clear()
+        path = tmp_path / "report.jsonl"
+        assert main(argv + ["--json", str(path)]) == 0
+        assert path.read_bytes() == "".join(json.dumps(asdict(r)) + "\n"
+                                            for r in records).encode()
+    unusual = CheckRecord("demo.fail", "quote \" and \u00e9", "plumbing", "FAIL",
+                          "error: \n", "\u2603", float("inf"))
+    monkeypatch.setattr(checks, "run_all", lambda config: [unusual])
+    assert main(["verify", "--json", str(path)]) == 1
+    assert path.read_bytes() == (json.dumps(asdict(unusual)) + "\n").encode()
 
 
 def test_cli_summary_reports_wall_time(monkeypatch, tmp_path, capsys):

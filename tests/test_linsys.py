@@ -13,14 +13,16 @@ from fano72 import (ArityError, ConfigurationError, ExactDivisionError, InvalidP
                     multiplicity_along_line, pullback_system, random_member,
                     restrict_to_pencil, restrict_to_pencil_plane, solve_sextic_constraints,
                     VerifyConfig, WeightedProjectiveSpace, weighted_parametrization)
-from fano72 import linalg, linsys, poly
+from fano72 import checks, linalg, linsys, poly
+from fano72.checks import sextic_suite
 from fano72.linalg import RowSpace
 from fano72.cli import main
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, conditions_report,
                            constraint_rows, sextic_constraint_rows, solve_constraints)
 
-from oracles import (cauchy_rational_roots, degree12_shapes, primitive_form, rref_rank,
-                     sextic_shapes, valuation_failures)
+from oracles import (cauchy_rational_roots, degree12_shapes, pencil_cubic_terms,
+                     primitive_form, rational_member, rref_rank, sextic_shapes,
+                     valuation_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 DEFAULT = PencilCubic.default()
@@ -884,3 +886,47 @@ def test_conditions_report_rejects_other_rings():
     system = LinearSystem(PENCIL_VARS, 1, [Polynomial.variable(PENCIL_VARS, "t")])
     with pytest.raises(ArityError):
         conditions_report(DEFAULT, system)
+
+
+@pytest.mark.parametrize("roots", FOUR_ROOTS, ids=FOUR_IDS)
+def test_random_member_is_the_rational_combination_times_the_lcm(roots, monkeypatch):
+    # random_member draws +-a_i/b_i per generator as the rational combination
+    # does and returns it times L = lcm(b_i), in int: the same surface, so
+    # the sextic suite counts the same on either member.
+    pencil = PencilCubic.from_roots(roots)
+    for system in (build_sextic_system(pencil), build_degree12_system(pencil)):
+        for seed in range(6):
+            member = random_member(system, random.Random(seed))
+            rational, common = rational_member(system.generators, random.Random(seed))
+            assert member == Polynomial(P3_VARS, {e: common * c for e, c in rational.items()})
+            assert all(type(c) is int for _, c in member.items())
+    for seed in (0, 3, 11):
+        integral = [(r.check_id, r.computed) for r in sextic_suite(pencil, random.Random(seed))]
+        with monkeypatch.context() as patched:
+            patched.setattr(checks, "random_member", lambda system, rng: Polynomial(
+                P3_VARS, rational_member(system.generators, rng)[0]))
+            assert [(r.check_id, r.computed)
+                    for r in sextic_suite(pencil, random.Random(seed))] == integral
+
+
+def test_from_roots_is_the_fraction_product_of_its_planes():
+    # from_roots multiplies the integer factors q*x2 - p*x1 and scales once by
+    # scale / (q1*q2*q3); the oracle multiplies scale*(x2 - t*x1) over Fractions.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nonzero = st.integers(-10 ** 30, 10 ** 30).filter(bool)
+    root = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(1, 10 ** 30)),
+                     st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 99)))
+    scale = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 10 ** 30)))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.lists(root, min_size=3, max_size=3, unique_by=Fraction), scale)
+    def check(roots, scale):
+        pencil = PencilCubic.from_roots(roots, scale)
+        expected = pencil_cubic_terms(roots, scale)
+        assert dict(pencil.cubic.items()) == expected
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for _, c in pencil.cubic.items())
+        assert pencil.roots == tuple(sorted(map(Fraction, roots)))
+
+    check()

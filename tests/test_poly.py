@@ -13,9 +13,9 @@ from fano72 import poly
 from fano72.linsys import (P3_VARS, PENCIL_VARS, PencilCubic, coordinate_plane_residual,
                            restrict_to_pencil, restrict_to_pencil_plane)
 
-from oracles import (arithmetic_oracle_failures, canonical_items, evaluate, naive_add,
-                     naive_mul, naive_substitute, rand_poly, ring_axiom_failures,
-                     substitution_failures)
+from oracles import (arithmetic_oracle_failures, canonical_items, evaluate,
+                     fraction_constructions, naive_add, naive_mul, naive_substitute,
+                     rand_poly, ring_axiom_failures, substitution_failures)
 
 X1, X2, X3, X4 = generators(P3_VARS)
 
@@ -399,6 +399,40 @@ def test_canonical_text_round_trips_exactly(text):
     p = parse_polynomial(text, P3_VARS)
     assert str(p) == text
     assert parse_polynomial(str(p), P3_VARS) == p
+
+
+def test_parse_keeps_integral_literals_int():
+    # An integer literal stays an int and no Fraction is made for it; a literal
+    # with '/' is a Fraction, an int once the polynomial finds it integral.
+    text = "x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3"
+    p, made = fraction_constructions(lambda: parse_polynomial(text, P3_VARS))
+    assert made == 0
+    assert [type(c) for _, c in p.items()] == [int] * 4
+    q = parse_polynomial("-7/2*x1 + 4/2*x2 + 3*x3 - x4", P3_VARS)
+    assert q.items() == (((1, 0, 0, 0), Fraction(-7, 2)), ((0, 1, 0, 0), 2),
+                         ((0, 0, 1, 0), 3), ((0, 0, 0, 1), -1))
+    assert [type(c) for _, c in q.items()] == [Fraction, int, int, int]
+    for r in (p, q):
+        assert str(parse_polynomial(str(r), P3_VARS)) == str(r)
+
+
+def test_parsed_coefficients_are_int_exactly_when_integral():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                            st.integers(1, 10 ** 6))
+    exponents = st.tuples(*[st.integers(0, 5)] * len(P3_VARS))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.dictionaries(exponents, coefficient, max_size=6))
+    def check(terms):
+        expected = Polynomial(P3_VARS, terms)
+        p = parse_polynomial(str(expected), P3_VARS)
+        assert p == expected and str(p) == str(expected)
+        assert dict(p.items()) == terms
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.items())
+
+    check()
 
 
 def test_parse_tolerates_whitespace_and_repeats():

@@ -59,6 +59,18 @@ CASES = {
                          InvalidPencilError, "need exactly three pencil roots, got 2"),
     "pencil-scale-zero": (lambda: PencilCubic.from_roots((1, 2, 3), 0),
                           InvalidPencilError, "the pencil cubic must be nonzero"),
+    # from_roots takes int (bool too) or Fraction roots and scale, nothing it would convert
+    "pencil-float-root": (lambda: PencilCubic.from_roots((0.1, 2, 3)), InvalidPencilError,
+                          "pencil roots and the scale must be int or Fraction, got 0.1"),
+    "pencil-subnormal-root": (lambda: PencilCubic.from_roots((1, 2, 1e-320)), InvalidPencilError,
+                              "pencil roots and the scale must be int or Fraction, got 1e-320"),
+    "pencil-text-root": (lambda: PencilCubic.from_roots(("1/3", 2, 3)), InvalidPencilError,
+                         "pencil roots and the scale must be int or Fraction, got '1/3'"),
+    "pencil-nan-root": (lambda: PencilCubic.from_roots((1, float("nan"), 3)), InvalidPencilError,
+                        "pencil roots and the scale must be int or Fraction, got nan"),
+    "pencil-inf-scale": (lambda: PencilCubic.from_roots((1, 2, 3), float("inf")),
+                         InvalidPencilError,
+                         "pencil roots and the scale must be int or Fraction, got inf"),
     "pencil-ring": (lambda: PencilCubic.from_polynomial(XY ** 3),
                     InvalidPencilError, "the pencil cubic must live in the ring"),
     "residual-plane": (lambda: coordinate_plane_residual(X1 ** 6, "x3"),

@@ -1,7 +1,8 @@
 """The runtime imports the standard library only, never the test oracles, and
 holds no assert statement (python -O strips them), so ``verify all`` passes
 under -O too; it calls
-``object.__setattr__`` only in constructors, and cuts a quoted value only
+``object.__setattr__`` only in constructors, a slot descriptor's ``__set__``
+only in ``Polynomial._canonical``, and cuts a quoted value only
 through ``grading.clip``.  Its own modules import
 each other one way, at module level: a stack with ``grading`` and ``bundles``
 at the bottom, ``cli`` the only module importing inside its functions."""
@@ -70,19 +71,33 @@ def test_verify_all_passes_under_optimize():
     assert "45 checks: 45 passed" in done.stdout
 
 
+def _calls_outside(tree: ast.AST, functions: set[str], called) -> list[int]:
+    """Lines of the calls, outside every function named in ``functions``, whose
+    callee's text ``called`` accepts."""
+    inside = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name in functions
+              for node in ast.walk(function)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and called(ast.unparse(node.func))]
+
+
 def test_object_setattr_runs_only_in_constructors():
     # Immutable values set every slot once, as they are built: no slot is
-    # filled later, lazily or otherwise.
-    constructors = {"__init__", "__post_init__", "_canonical"}
+    # filled later, lazily or otherwise.  A slot descriptor's own __set__,
+    # called as such or through a module-level alias, fills a slot too: only
+    # Polynomial._canonical calls one.
     outside = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        built = {id(node) for function in ast.walk(tree)
-                 if isinstance(function, ast.FunctionDef) and function.name in constructors
-                 for node in ast.walk(function)}
-        outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call) and id(node) not in built
-                    and ast.unparse(node.func) == "object.__setattr__"]
+        setters = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "__set__"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        outside += [f"{path.name}:{line}" for line in _calls_outside(
+            tree, {"__init__", "__post_init__", "_canonical"},
+            lambda callee: callee == "object.__setattr__")]
+        outside += [f"{path.name}:{line}" for line in _calls_outside(
+            tree, {"_canonical"}, lambda callee: callee.endswith(".__set__") or callee in setters)]
     assert not outside, f"slots set outside a constructor at {outside}"
 
 
