@@ -133,11 +133,15 @@ def test_run_all_builds_each_system_once(monkeypatch):
         assert sorted(calls) == expected, suite
 
 
-def test_run_all_merges_terms_59_times(monkeypatch):
+def test_run_all_merges_terms_75_times(monkeypatch):
     # A deterministic guard on the merge loop, the costliest construction: one
-    # default run_all merges 59 times (62 when PencilCubic.from_roots merged
-    # each factor X2 - root*X1, 64 when pullback_system also checked its basis
-    # through a merged polynomial, once per system).  A change that brings a
+    # default run_all merges 75 times.  Every product merges, one-term factors
+    # too (the records' X1*X2*X4*xi, X3*xi and X4^12), and so does a scalar
+    # operand (the constant 1 each power starts from, the scale of
+    # PencilCubic.from_roots): 59 when those were shifts, whose deletion
+    # measured inside the benchmark's noise; 62 when from_roots merged each
+    # factor X2 - root*X1, 64 when pullback_system also checked its basis
+    # through a merged polynomial, once per system.  A change that brings a
     # merge back to the build path fails here without any timing.
     merges = []
     merge = poly._merged_terms
@@ -148,7 +152,7 @@ def test_run_all_merges_terms_59_times(monkeypatch):
 
     monkeypatch.setattr(poly, "_merged_terms", counted)
     assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
-    assert len(merges) == 59
+    assert len(merges) == 75
 
 
 def test_run_all_makes_seven_fractions():

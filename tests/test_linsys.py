@@ -204,10 +204,12 @@ def test_wrong_roots_are_rejected_by_an_explicit_check(monkeypatch, capsys):
 
 
 def test_refusals_of_a_cubic_at_the_bit_cap_stay_short(monkeypatch, capsys):
-    # a cubic within the coefficient cap whose text runs past 2 kB
+    # a cubic within the coefficient cap whose text runs past 2 kB; 4 bits under
+    # the cap, so that the planes of the mocked roots 1, 2, 4, whose product
+    # scales the coefficients by up to 14, stay inside the cap of from_roots
     rng = random.Random(1024)
-    denominator = rng.getrandbits(1024) | 1 << 1023
-    text = str(Polynomial(P3_VARS, {(3 - k, k, 0, 0): Fraction(rng.getrandbits(1024), denominator)
+    denominator = rng.getrandbits(1020) | 1 << 1019
+    text = str(Polynomial(P3_VARS, {(3 - k, k, 0, 0): Fraction(rng.getrandbits(1020), denominator)
                                     for k in range(4)}))
     assert len(text) > 2000
     for refusal in ("does not split into rational planes", "is not the product of its root planes"):
@@ -219,6 +221,17 @@ def test_refusals_of_a_cubic_at_the_bit_cap_stay_short(monkeypatch, capsys):
         assert len(err.encode()) < 200
         monkeypatch.setattr(linsys, "_rational_roots",
                             lambda coeffs: [Fraction(1), Fraction(2), Fraction(4)])
+
+
+def test_a_cubic_exactly_at_the_bit_cap_builds_from_either_constructor():
+    # -6 * 2^1021 * x1^3 needs exactly 1024 bits; one more bit is refused
+    at_cap = PencilCubic.from_roots((2 ** 1021, 2, 3))
+    assert max(abs(k) for _, k in at_cap.cubic.items()).bit_length() == linsys.MAX_COEFFICIENT_BITS
+    assert PencilCubic.from_polynomial(at_cap.cubic) == at_cap
+    for refused in (lambda: PencilCubic.from_roots((2 ** 1022, 2, 3)),
+                    lambda: PencilCubic.from_polynomial(2 * at_cap.cubic)):
+        with pytest.raises(InvalidPencilError, match="need 1025 bits, more than the cap of 1024"):
+            refused()
 
 
 def test_non_cubic_inputs_are_rejected():
@@ -565,12 +578,12 @@ def test_builders_multiply_once_per_image_power_and_block(monkeypatch):
     # (x3, x4)-exponent block, and the components are single terms and shifts
     # of xi, so the products are those of the image powers and the blocks
     # (4 and 0), none of them with 1, not one or more per generator (126 and
-    # 38 when every monomial was multiplied out).  A single term and a product
-    # with a one-term factor skip the merge loop, and the basis is checked
+    # 38 when every monomial was multiplied out).  The single-term images and
+    # the one-term images of the basis are shifts, and the basis is checked
     # term by term, with no merged polynomial (one merge each before), so the
     # merges are, at degree 12, the four products of multi-term images:
     # (x3*xi)^2, (x3*xi)^3, (x1*x2*x4*xi)^2 and their block (1, 1), and none
-    # at degree 6, not 88 and 28 as when every one-term product went through
+    # at degree 6, not 88 and 28 as when every one-term image went through
     # the merge.
     calls, merges = [], []
     multiply, merge = Polynomial.__mul__, poly._merged_terms
@@ -698,10 +711,10 @@ def test_a_span_normalises_each_generator_once(monkeypatch):
 
 
 def test_scalars_and_single_terms_skip_the_checked_constructor(monkeypatch):
-    # A scalar operand is one trusted term, so c * g, -g and g / c are plain
-    # shifts, and the pencil's product starts from its scale the same way: no
-    # caller terms to check anywhere in a random member, a scaled, negated or
-    # divided generator or a pencil.
+    # A scalar operand is one trusted term, so c * g is a trusted product, -g
+    # and g / c are plain shifts, and the pencil's product is scaled the same
+    # way: no caller terms to check anywhere in a random member, a scaled,
+    # negated or divided generator or a pencil.
     checked = []
     check = poly._checked_terms
 

@@ -73,9 +73,9 @@ def test_parse_refuses_exponents_outside_the_ring_or_below_zero():
 def test_unchecked_results_equal_the_naive_oracle():
     # +, *, substitute_all and exact_divide build their terms without the
     # constructor's checks; each must still give exactly the oracle's terms,
-    # every integral coefficient an int.  m has one Fraction term, so p * m,
-    # m * p, m's substitution and the division of p * m by m take the
-    # one-term shift, whose products may become integral.
+    # every integral coefficient an int.  m has one Fraction term, so m's
+    # substitution and the division of p * m by m take the one-term shift,
+    # whose products may become integral.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     ring, target = ("a", "b", "c"), ("u", "v")

@@ -9,6 +9,7 @@ on 10^4-entry tuples, on the 10^4-variable ring ``MANY``, on the
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,10 @@ CASES = {
     "pencil-inf-scale": (lambda: PencilCubic.from_roots((1, 2, 3), float("inf")),
                          InvalidPencilError,
                          "pencil roots and the scale must be int or Fraction, got inf"),
+    # from_roots caps its cubic's coefficients as from_polynomial, and so --xi, does
+    "pencil-tall-root": (lambda: PencilCubic.from_roots((Fraction(1, 2 ** 3000 + 1), 2, 3)),
+                         InvalidPencilError, "over their common denominator, need 3003 bits, "
+                                             "more than the cap of 1024"),
     "pencil-ring": (lambda: PencilCubic.from_polynomial(XY ** 3),
                     InvalidPencilError, "the pencil cubic must live in the ring"),
     "residual-plane": (lambda: coordinate_plane_residual(X1 ** 6, "x3"),

@@ -2,12 +2,13 @@
 holds no assert statement (python -O strips them), so ``verify all`` passes
 under -O too; it calls
 ``object.__setattr__`` only in constructors, a slot descriptor's ``__set__``
-only in ``Polynomial._canonical``, and cuts a quoted value only
-through ``grading.clip``.  Its own modules import
+only in ``Polynomial._canonical``, reads every private name it defines, and
+cuts a quoted value only through ``grading.clip``.  Its own modules import
 each other one way, at module level: a stack with ``grading`` and ``bundles``
 at the bottom, ``cli`` the only module importing inside its functions."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -99,6 +100,47 @@ def test_object_setattr_runs_only_in_constructors():
         outside += [f"{path.name}:{line}" for line in _calls_outside(
             tree, {"_canonical"}, lambda callee: callee.endswith(".__set__") or callee in setters)]
     assert not outside, f"slots set outside a constructor at {outside}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_name_is_read_in_the_package():
+    # A private helper that no module reads is dead code.  Every private
+    # module-level name, and every private method of a class of the package,
+    # is read somewhere in src/fano72; a method that overrides one of a
+    # standard-library base class (cli._Parser._get_values) is read by that base.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unread += [f"{stem}.{name}" for name in names if _private(name) and name not in read]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = [item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef) and _private(item.name)]
+            if not methods:
+                continue
+            cls = getattr(importlib.import_module(f"fano72.{stem}"), node.name)
+            stdlib = [base for base in cls.__mro__[1:] if not base.__module__.startswith("fano72")]
+            unread += [f"{stem}.{node.name}.{name}" for name in methods if name not in read
+                       and not any(name in vars(base) for base in stdlib)]
+    assert not unread, f"private names read nowhere in the package: {unread}"
 
 
 def test_refused_values_are_cut_only_by_clip():
