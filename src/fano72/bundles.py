@@ -10,16 +10,15 @@ is the standard one: E^2 = -e, E.F = 1, F^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .grading import clip
+from .grading import FrozenValue, clip
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(FrozenValue):
     """A direct sum of line bundles on P^1, as the sorted multiset of twists."""
 
+    __slots__ = _fields = ("twists",)
     twists: tuple[int, ...]
 
     def __init__(self, twists):
@@ -59,19 +58,22 @@ def system_dim(bundle: SplitBundle, a: int, b: int) -> int:
     return bundle.sym_power(a).twist(b).h0() - 1
 
 
-@dataclass(frozen=True)
-class RuledClass:
+class RuledClass(FrozenValue):
     """An integer divisor class a*E + b*F on the Hirzebruch surface F_e."""
 
+    __slots__ = _fields = ("e", "a", "b")
     e: int
     a: int
     b: int
 
-    def __post_init__(self):
-        if any(not isinstance(v, int) for v in (self.e, self.a, self.b)):
-            raise ValueError(f"e, a and b must be integers, got {clip((self.e, self.a, self.b))}")
-        if self.e < 0:
+    def __init__(self, e: int, a: int, b: int):
+        if any(not isinstance(v, int) for v in (e, a, b)):
+            raise ValueError(f"e, a and b must be integers, got {clip((e, a, b))}")
+        if e < 0:
             raise ValueError("the Hirzebruch invariant e must be a natural number")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def intersect(self, other: RuledClass) -> int:
         """Intersection number, bilinear in both classes."""

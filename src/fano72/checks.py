@@ -23,7 +23,7 @@ from time import perf_counter
 
 from . import EXTRA_SUITES, SUITES, ConfigurationError
 from .bundles import RuledClass, SplitBundle, system_dim
-from .grading import clip, hilbert_count
+from .grading import FrozenValue, clip, hilbert_count
 from .linsys import (PENCIL_VARS, InvalidPencilError, LinearSystem, PencilCubic,
                      X1, X2, X3, X4, build_degree12_system, build_sextic_system,
                      conditions_report, coordinate_plane_residual,
@@ -34,11 +34,20 @@ from .poly import ParseError, Polynomial, is_homogeneous
 from .ratmap import image_degrees, weighted_parametrization
 from .wps import WeightedProjectiveSpace
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    xi_text: str | None = None
-    suite: str = "all"
-    seed: int = 0
+
+class VerifyConfig(FrozenValue):
+    """What one run certifies: the pencil's text (None for the default), the
+    suite, and the seed of the random-member checks."""
+
+    _fields = ("xi_text", "suite", "seed")    # no __slots__: the cached pencil needs a __dict__
+    xi_text: str | None
+    suite: str
+    seed: int
+
+    def __init__(self, xi_text: str | None = None, suite: str = "all", seed: int = 0):
+        object.__setattr__(self, "xi_text", xi_text)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "seed", seed)
 
     @cached_property
     def pencil(self) -> PencilCubic:

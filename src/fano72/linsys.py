@@ -25,13 +25,12 @@ and the restrictions read a polynomial's term dict without copying it.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
 from operator import mul
 
-from .grading import clip, enumerate_monomials
+from .grading import FrozenValue, clip, enumerate_monomials
 from .linalg import LinearSystem, echelon_pivots, nullspace_basis
 from .poly import (ArityError, Coefficient, Exponents, Polynomial, generators,
                    is_homogeneous, parse_polynomial)
@@ -109,8 +108,7 @@ def _integer_coefficients(cubic: Polynomial) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True, slots=True)
-class PencilCubic:
+class PencilCubic(FrozenValue):
     """A binary cubic xi(x1, x2) splitting into three distinct pencil planes.
 
     The cubic factors exactly as scale * (x2 - t1*x1)(x2 - t2*x1)(x2 - t3*x1)
@@ -119,8 +117,13 @@ class PencilCubic:
     the cubic and its roots, ascending; the scale is the cubic's x2^3 coefficient.
     """
 
+    __slots__ = _fields = ("cubic", "roots")
     cubic: Polynomial
     roots: tuple[Fraction, ...]
+
+    def __init__(self, cubic: Polynomial, roots: tuple[Fraction, ...]):
+        object.__setattr__(self, "cubic", cubic)
+        object.__setattr__(self, "roots", roots)
 
     def __repr__(self) -> str:
         return f"PencilCubic({self.cubic})"

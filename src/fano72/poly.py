@@ -286,13 +286,17 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power requires a natural exponent, "
                              f"got {clip(exponent, render=repr)}")
-        result, base, k = self._coerce(1), self, exponent
-        while k:
+        if not exponent:
+            return self._coerce(1)
+        # square past the low zero bits, start from that power, then multiply in the rest
+        base, k = self, exponent
+        while not k & 1:
+            base, k = base * base, k >> 1
+        result = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 result = result * base
-            k >>= 1
-            if k:
-                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -9,22 +9,21 @@ the integer 72 for both P(1,1,4,6) and P(1,1,1,3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 
-from .grading import Exponents, check_weights, clip, enumerate_monomials
+from .grading import Exponents, FrozenValue, check_weights, clip, enumerate_monomials
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedProjectiveSpace:
+class WeightedProjectiveSpace(FrozenValue):
     """A well-formed weighted projective space P(w0, ..., wn)."""
 
+    __slots__ = _fields = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        ws = check_weights(self.weights)
+    def __init__(self, weights):
+        ws = check_weights(weights)
         if len(ws) < 2:
             raise ValueError("a projective space needs at least two weights")
         # gcd of the weights before index i, and of those from index i on

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -133,16 +134,17 @@ def test_run_all_builds_each_system_once(monkeypatch):
         assert sorted(calls) == expected, suite
 
 
-def test_run_all_merges_terms_75_times(monkeypatch):
+def test_run_all_merges_terms_69_times(monkeypatch):
     # A deterministic guard on the merge loop, the costliest construction: one
-    # default run_all merges 75 times.  Every product merges, one-term factors
+    # default run_all merges 69 times.  Every product merges, one-term factors
     # too (the records' X1*X2*X4*xi, X3*xi and X4^12), and so does a scalar
-    # operand (the constant 1 each power starts from, the scale of
-    # PencilCubic.from_roots): 59 when those were shifts, whose deletion
-    # measured inside the benchmark's noise; 62 when from_roots merged each
-    # factor X2 - root*X1, 64 when pullback_system also checked its basis
-    # through a merged polynomial, once per system.  A change that brings a
-    # merge back to the build path fails here without any timing.
+    # operand (the scale of PencilCubic.from_roots): 59 when those were
+    # shifts, whose deletion measured inside the benchmark's noise; 62 when
+    # from_roots merged each factor X2 - root*X1, 64 when pullback_system also
+    # checked its basis through a merged polynomial, once per system; 75 when
+    # each of the records' three powers started from the constant 1, merging
+    # it and then a product with it.  A change that brings a merge back to
+    # the build path fails here without any timing.
     merges = []
     merge = poly._merged_terms
 
@@ -152,7 +154,7 @@ def test_run_all_merges_terms_75_times(monkeypatch):
 
     monkeypatch.setattr(poly, "_merged_terms", counted)
     assert all(r.status == "PASS" for r in run_all(VerifyConfig()))
-    assert len(merges) == 75
+    assert len(merges) == 69
 
 
 def test_run_all_makes_seven_fractions():
@@ -500,6 +502,86 @@ def test_cli_closed_pipe_exits_without_a_traceback():
     assert process.wait(timeout=30) == 1
     assert process.stderr.read() == b""
     process.stderr.close()
+
+
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args on this checkout's sources, stdout block-buffered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fano72.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=60, env=env)
+
+
+def test_cli_process_writes_everything_before_its_fast_exit(tmp_path, capsys):
+    # python -m fano72 ends in os._exit once main returns: stdout, stderr and the
+    # --json file must be complete by then.
+    path = tmp_path / "report.jsonl"
+    done = _python("-m", "fano72", "verify", "all", "--json", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record.pop("elapsed")
+    in_process = _strip_elapsed(run_all(VerifyConfig()))
+    assert list(map(json.dumps, records)) == list(map(json.dumps, in_process))
+    assert main(["verify", "all"]) == 0
+    *lines, summary = done.stdout.splitlines()
+    *expected, _ = capsys.readouterr().out.splitlines()
+    assert lines == expected and len(lines) == 45
+    assert summary.startswith("45 checks: 45 passed, 0 failed (")
+
+
+def test_cli_process_refusal_exits_2_and_leaves_the_json_path(tmp_path):
+    path = tmp_path / "report.jsonl"
+    path.write_text("kept\n", encoding="utf-8")
+    done = _python("-m", "fano72", "verify", "all", "--xi", "x1^3", "--json", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("configuration error: invalid pencil cubic: ")
+    assert done.stderr.count("\n") == 1
+    assert path.read_text(encoding="utf-8") == "kept\n"
+    missing = tmp_path / "missing.jsonl"
+    assert _python("-m", "fano72", "verify", "--xi", "x1^3", "--json", str(missing)).returncode == 2
+    assert not missing.exists()
+
+
+def test_cli_process_skips_exit_hooks_once_flushed():
+    done = _python("-c", "import atexit, sys; atexit.register(print, 'hook'); "
+                         "sys.argv[1:] = ['hilbert', '--weights', '1', '--degree', '2']; "
+                         "from fano72.cli import console_main; console_main()")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "weights (1,), degree 2: 1 monomials\n"
+
+
+def test_cli_process_takes_the_normal_exit_on_an_exception_or_a_failed_flush():
+    done = _python("-c", "from fano72 import cli; cli.main = lambda: 1 // 0; cli.console_main()")
+    assert done.returncode == 1
+    assert done.stderr.startswith("Traceback") and "ZeroDivisionError" in done.stderr
+    # A refused --json leaves the records in stdout's buffer, and the pipe has no reader:
+    # the flush fails, and the interpreter's own exit reports it, as it did before.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _python("-m", "fano72", "verify", "wps", "--json", "/dev/full", stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 120
+    assert done.stderr.startswith("configuration error: cannot write --json output '/dev/full'")
+    assert "BrokenPipeError" in done.stderr
+
+
+def test_the_installed_script_runs_the_entry_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    module, function = scripts["fano72"].split(":")
+    assert (module, function) == ("fano72.cli", "console_main")
+    tree = ast.parse((root / "src" / "fano72" / "__main__.py").read_text(encoding="utf-8"))
+    imported = [(node.module, node.level, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    called = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert (imported, called) == ([("cli", 1, function)], [function])
 
 
 def test_cli_wps_counts_the_basis_and_lists_it_only_under_the_cap(capsys):

@@ -1,4 +1,5 @@
-"""Start-up: ``import fano72`` and ``fano72 hilbert`` load only the layers they run.
+"""Start-up: ``import fano72`` and ``fano72 hilbert`` load only the layers they run,
+and nothing but ``verify``'s records loads ``dataclasses``.
 
 The package resolves its exports on first access, through a name table, so a
 typo in that table would show only when the name is first used; the table
@@ -49,6 +50,15 @@ def test_every_exported_name_is_its_submodule_attribute():
         assert getattr(fano72, name) is getattr(importlib.import_module(f"fano72.{module}"), name)
     assert set(fano72._EXPORTS) <= set(fano72.__all__) <= set(dir(fano72))
     assert all(hasattr(fano72, name) for name in fano72.__all__)
+
+
+@pytest.mark.parametrize("args", [("-m", "fano72", "wps", "--weights", "1,1,4,6"),
+                                  ("-c", "import fano72.linsys, fano72.bundles, fano72.wps")],
+                         ids=["wps", "builders"])
+def test_wps_and_the_builders_load_no_dataclasses_or_inspect(args):
+    # Their values are plain classes on grading.FrozenValue: no decorator
+    # generates code at import, so neither module loads.
+    assert not _loaded(*args) & {"dataclasses", "inspect"}
 
 
 def test_verify_all_loads_no_typing():

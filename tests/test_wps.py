@@ -1,9 +1,11 @@
+import copy
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from fano72 import WeightedProjectiveSpace
+from fano72 import (PencilCubic, RuledClass, SplitBundle, VerifyConfig,
+                    WeightedProjectiveSpace)
 
 from oracles import brute_force_monomials
 
@@ -56,6 +58,7 @@ def test_selfintersection_is_permutation_invariant():
 def test_all_one_weights_give_ordinary_projective_degree():
     for n in range(1, 5):
         space = WeightedProjectiveSpace((1,) * (n + 1))
+        assert space.dimension == n
         assert space.anticanonical_selfintersection() == (n + 1) ** n
 
 
@@ -78,12 +81,53 @@ def test_basis_shape_of_p1146():
     assert _shape(sorted(oracle)) == SHAPE_1146
 
 
-def test_spaces_are_immutable_values():
-    space = WeightedProjectiveSpace((1, 1, 4, 6))
-    assert space == WeightedProjectiveSpace((1, 1, 4, 6))
-    assert space.dimension == 3
-    with pytest.raises(AttributeError):
-        space.weights = None
-    listed = WeightedProjectiveSpace([1, 1, 4, 6])
-    assert listed == space and hash(listed) == hash(space)
-    assert listed.weights == (1, 1, 4, 6)
+# The package's frozen values: (build one, build an equal one another way,
+# a different one of the same class, its repr, its fields and their values).
+FROZEN_VALUES = {
+    "WeightedProjectiveSpace": (
+        lambda: WeightedProjectiveSpace((1, 1, 4, 6)),
+        lambda: WeightedProjectiveSpace([1, 1, 4, 6]),
+        lambda: WeightedProjectiveSpace((1, 1, 1, 3)),
+        "P(1, 1, 4, 6)", {"weights": (1, 1, 4, 6)}),
+    "SplitBundle": (
+        lambda: SplitBundle((2, 6)), lambda: SplitBundle([6, 2]), lambda: SplitBundle((0, 2, 6)),
+        "SplitBundle(twists=(2, 6))", {"twists": (2, 6)}),
+    "RuledClass": (
+        lambda: RuledClass(4, 1, 6), lambda: RuledClass(e=4, a=1, b=6), lambda: RuledClass(4, 6, 1),
+        "RuledClass(e=4, a=1, b=6)", {"e": 4, "a": 1, "b": 6}),
+    "PencilCubic": (
+        PencilCubic.default,
+        lambda: PencilCubic.from_text("x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3"),
+        lambda: PencilCubic.from_roots((1, 5, 7)),
+        "PencilCubic(-6*x1^3 + 11*x1^2*x2 - 6*x1*x2^2 + x2^3)",
+        {"roots": (1, 2, 3), "cubic": PencilCubic.default().cubic}),
+    "VerifyConfig": (
+        lambda: VerifyConfig(None, "wps", 3), lambda: VerifyConfig(suite="wps", seed=3),
+        lambda: VerifyConfig(suite="wps", seed=4),
+        "VerifyConfig(xi_text=None, suite='wps', seed=3)",
+        {"xi_text": None, "suite": "wps", "seed": 3}),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_VALUES)
+def test_frozen_values_are_immutable(name):
+    make, make_equal, make_other, text, fields = FROZEN_VALUES[name]
+    value, equal, other = make(), make_equal(), make_other()
+    assert type(value).__name__ == name
+    assert value == equal and hash(value) == hash(equal) and not value != equal
+    assert value != other and value != fields and value != tuple(fields.values())
+    assert repr(value) == text
+    assert copy.copy(value) == value
+    for field in (*fields, "unknown"):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(value, field)
+    assert {field: getattr(value, field) for field in fields} == fields
+
+
+def test_a_config_resolves_its_pencil_once():
+    config = VerifyConfig()
+    pencil = config.pencil
+    assert config.pencil is pencil and pencil == PencilCubic.default()
+    assert config == VerifyConfig() and hash(config) == hash(VerifyConfig())
