@@ -1,7 +1,8 @@
 """Command-line front end: verification suites and small graded-ring utilities.
 
 Exit codes: 0 all checks pass, 1 at least one failure or output cut short by
-a closed pipe, 2 configuration error.  ``main`` returns the code;
+a closed pipe, 2 configuration error or any other failed write to standard
+output (a full disk).  ``main`` returns the code;
 ``console_main``, which ``python -m fano72`` and the ``fano72`` script run,
 exits with it.
 """
@@ -189,10 +190,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader went away: point stdout at devnull so the exit flush cannot raise again
+    except OSError as error:
+        # stdout refused a write: point it at devnull so the exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(error, BrokenPipeError):      # the reader went away: stop quietly
+            return 1
+        print(f"configuration error: cannot write standard output: {error.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 def console_main():

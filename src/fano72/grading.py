@@ -47,13 +47,17 @@ def clip(value: object, limit: int = 20, render: Callable[[object], str] = str) 
 class FrozenValue:
     """An immutable value whose fields, named in ``_fields``, fix its equality,
     hash and repr, as a frozen dataclass's do; assigning or deleting any
-    attribute raises ``AttributeError``.
+    attribute raises ``AttributeError``, and a copy, deep copy or unpickled
+    value is rebuilt through ``__init__`` from the fields.
 
     A subclass's ``__init__`` sets each field once, through
-    ``object.__setattr__``.  A plain class generates no code at import: as
-    frozen dataclasses, the five values on this base cost about 3 ms of
-    start-up on a 2-core x86 host (CPython 3.11), and their modules loaded
-    ``dataclasses`` and the ``inspect`` it imports.
+    ``object.__setattr__``.  The package's seven values stand on this base:
+    ``Polynomial`` (with its own hash, as its term dict has none),
+    ``LinearSystem``, ``PencilCubic``, ``VerifyConfig``, ``SplitBundle``,
+    ``RuledClass`` and ``WeightedProjectiveSpace``.  A plain
+    class generates no code at import: as frozen dataclasses, the last five
+    cost about 3 ms of start-up on a 2-core x86 host (CPython 3.11), and
+    their modules loaded ``dataclasses`` and the ``inspect`` it imports.
     """
 
     __slots__ = ()

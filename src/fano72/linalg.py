@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .grading import clip
+from .grading import FrozenValue, clip
 from .poly import ArityError, Coefficient, Exponents, Polynomial
 
 IntRow = dict[Hashable, int]
@@ -42,8 +42,8 @@ def _primitive(row: IntRow) -> IntRow:
     is positive; the row itself when it is primitive already."""
     if not row:
         return row
-    content = reduce(gcd, row.values())
-    if row[min(row)] < 0:
+    content = reduce(gcd, row.values())     # a one-entry row's content is that entry
+    if row[min(row)] < 0 < content:
         content = -content
     return row if content == 1 else {c: v // content for c, v in row.items()}
 
@@ -171,7 +171,7 @@ def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> lis
     return basis
 
 
-class LinearSystem:
+class LinearSystem(FrozenValue):
     """A span of homogeneous degree-d forms in a fixed ring, built whole.
 
     Generators are rescaled to primitive integer form (content 1, last term
@@ -186,9 +186,16 @@ class LinearSystem:
     primitive integer row, so the private span inserts it through the
     trusted ``RowSpace._insert`` (normalised again by ``insert``: +5.0% /
     +3.6%), and ``rank`` is its rank.  No slot changes after construction.
+
+    As a ``FrozenValue``, two systems are equal, and hash alike, when their
+    rings, degrees and normalised generator tuples are equal: one span from
+    generators in another order, or with one more redundant generator, is
+    a different value.  A copy or an unpickled system is rebuilt through
+    the constructor from those three fields, its span and rank anew.
     """
 
     __slots__ = ("ring", "degree", "generators", "rank", "_span")
+    _fields = ("ring", "degree", "generators")
 
     def __init__(self, ring: Sequence[str], degree: int, gens: Iterable[Polynomial]):
         ring = tuple(ring)
@@ -217,11 +224,6 @@ class LinearSystem:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "rank", span.rank)
         object.__setattr__(self, "_span", span)
-
-    def __setattr__(self, name, value=None):      # as __delattr__ too, with no value
-        raise AttributeError("LinearSystem is immutable")
-
-    __delattr__ = __setattr__
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree={self.degree}, "

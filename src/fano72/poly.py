@@ -42,7 +42,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg
 
-from .grading import Exponents, check_weights, clip, monomial_text
+from .grading import Exponents, FrozenValue, check_weights, clip, monomial_text
 
 Coefficient = int | Fraction
 
@@ -98,7 +98,7 @@ def _merged_terms(terms: Iterable[tuple[Exponents, Coefficient]]) -> dict[Expone
     return {e: c if (c := merged[e]).denominator > 1 else c.numerator for e in order}
 
 
-class Polynomial:
+class Polynomial(FrozenValue):
     """An immutable sparse polynomial over the rationals.
 
     ``ring`` is the tuple of variable names; ``terms`` maps exponent tuples
@@ -107,10 +107,13 @@ class Polynomial:
     Caller terms are checked (arity, natural exponents) once, here; every
     other construction builds exponents from valid ones and merges them
     (``_from_valid_terms``), shifts them (``_shifted``), or takes a term
-    dict that is canonical already (``_canonical``).
+    dict that is canonical already (``_canonical``).  As a ``FrozenValue``
+    it equals only a polynomial of the same ring and terms, and a copy or
+    an unpickled one is rebuilt through the constructor, checked and merged
+    again; the hash is its own, of the term pairs, since a dict has none.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = _fields = ("ring", "_terms")
 
     def __init__(self, ring: Sequence[str],
                  terms: Mapping[Exponents, Coefficient] | Iterable[tuple[Exponents, Coefficient]] = ()):
@@ -158,11 +161,6 @@ class Polynomial:
         return self._canonical(self.ring, {tuple(map(add, e, shift)):
                                            c if (c := k * factor).denominator > 1 else c.numerator
                                            for e, k in self._terms.items()})
-
-    def __setattr__(self, name, value=None):      # as __delattr__ too, with no value
-        raise AttributeError("Polynomial is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors -------------------------------------------------
 
@@ -298,11 +296,6 @@ class Polynomial:
             if k & 1:
                 result = result * base
         return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.ring, tuple(self._terms.items())))

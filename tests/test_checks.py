@@ -570,6 +570,19 @@ def test_cli_process_takes_the_normal_exit_on_an_exception_or_a_failed_flush():
     assert "BrokenPipeError" in done.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffering", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [("hilbert", "--weights", "1,1", "--degree", "3"),
+                                     ("wps", "--weights", "1,1,4,6"), ("verify", "wps")],
+                         ids=lambda command: command[0])
+def test_cli_process_failed_stdout_write_is_one_line_and_exit_2(command, buffering):
+    # a full disk fails main's flush, or under -u the first print: either way one line
+    with open("/dev/full", "w") as full:
+        done = _python(*buffering, "-m", "fano72", *command, stdout=full)
+    assert (done.returncode, done.stderr) == (
+        2, "configuration error: cannot write standard output: No space left on device\n")
+
+
 def test_the_installed_script_runs_the_entry_python_m_runs():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]

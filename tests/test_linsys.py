@@ -256,6 +256,8 @@ def test_proportional_generators_collapse_to_one_primitive_generator():
     assert system.generators == (X1,)
     assert LinearSystem(P3_VARS, 1, [-X1 / 3 + X2 / 2]).generators == (-2 * X1 + 3 * X2,)
     assert LinearSystem(P3_VARS, 1, [X1 - 2 * X2]).generators == (-X1 + 2 * X2,)
+    # a one-term generator ends positive too, from an int or a Fraction coefficient
+    assert LinearSystem(P3_VARS, 1, [-3 * X1, X1, -X1 / 2]).generators == (X1,)
 
 
 def test_primitive_generators_are_kept_and_the_others_normalised():

@@ -1,6 +1,7 @@
 """The runtime imports the standard library only, never the test oracles, and
 holds no assert statement (python -O strips them), so ``verify all`` passes
-under -O too; it calls
+under -O too; only ``grading.FrozenValue`` defines how a value refuses
+mutation, compares and rebuilds; it calls
 ``object.__setattr__`` only in constructors, a slot descriptor's ``__set__``
 only in ``Polynomial._canonical``, reads every private name it defines, and
 cuts a quoted value only through ``grading.clip``.  Its own modules import
@@ -100,6 +101,26 @@ def test_object_setattr_runs_only_in_constructors():
         outside += [f"{path.name}:{line}" for line in _calls_outside(
             tree, {"_canonical"}, lambda callee: callee.endswith(".__set__") or callee in setters)]
     assert not outside, f"slots set outside a constructor at {outside}"
+
+
+def test_only_frozen_value_writes_the_value_rule():
+    # A value is immutable, its fields fix its equality, and it is rebuilt
+    # through __init__: grading.FrozenValue says so once, and no other class
+    # of the package defines __setattr__, __delattr__, __eq__ or __reduce__.
+    guarded = {"__setattr__", "__delattr__", "__eq__", "__reduce__"}
+    defined = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            names = set()
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(target.id for target in targets if isinstance(target, ast.Name))
+            defined += [f"{path.stem}.{cls.name}.{name}" for name in sorted(names & guarded)]
+    assert defined == [f"grading.FrozenValue.{name}" for name in sorted(guarded)]
 
 
 def _private(name: str) -> bool:

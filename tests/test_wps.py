@@ -1,11 +1,15 @@
 import copy
+import pickle
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from fano72 import (PencilCubic, RuledClass, SplitBundle, VerifyConfig,
-                    WeightedProjectiveSpace)
+from fano72 import (LinearSystem, P3_VARS, PencilCubic, Polynomial, RuledClass, SplitBundle,
+                    VerifyConfig, WeightedProjectiveSpace, build_sextic_system, generators,
+                    random_member)
+from fano72.grading import FrozenValue, enumerate_monomials
 
 from oracles import brute_force_monomials
 
@@ -81,6 +85,9 @@ def test_basis_shape_of_p1146():
     assert _shape(sorted(oracle)) == SHAPE_1146
 
 
+XY = ("x", "y")
+X, Y = generators(XY)
+
 # The package's frozen values: (build one, build an equal one another way,
 # a different one of the same class, its repr, its fields and their values).
 FROZEN_VALUES = {
@@ -106,6 +113,17 @@ FROZEN_VALUES = {
         lambda: VerifyConfig(suite="wps", seed=4),
         "VerifyConfig(xi_text=None, suite='wps', seed=3)",
         {"xi_text": None, "suite": "wps", "seed": 3}),
+    "Polynomial": (
+        lambda: Polynomial(XY, {(1, 0): Fraction(1, 2), (0, 1): 3}),
+        lambda: Polynomial(list(XY), [((0, 1), Fraction(6, 2)), ((1, 0), Fraction(2, 4))]),
+        lambda: Polynomial(XY, {(1, 0): Fraction(1, 2)}),
+        "1/2*x + 3*y", {"ring": XY, "_terms": {(1, 0): Fraction(1, 2), (0, 1): 3}}),
+    "LinearSystem": (       # equal by generator tuple: one span in another order differs
+        lambda: LinearSystem(XY, 1, [X, X + Y]),
+        lambda: LinearSystem(list(XY), 1, [-3 * X, 2 * X + 2 * Y, X]),
+        lambda: LinearSystem(XY, 1, [X + Y, X]),
+        "LinearSystem(degree=1, generators=2, ring=('x', 'y'))",
+        {"ring": XY, "degree": 1, "generators": (X, X + Y)}),
 }
 
 
@@ -113,7 +131,7 @@ FROZEN_VALUES = {
 def test_frozen_values_are_immutable(name):
     make, make_equal, make_other, text, fields = FROZEN_VALUES[name]
     value, equal, other = make(), make_equal(), make_other()
-    assert type(value).__name__ == name
+    assert type(value).__name__ == name and isinstance(value, FrozenValue)
     assert value == equal and hash(value) == hash(equal) and not value != equal
     assert value != other and value != fields and value != tuple(fields.values())
     assert repr(value) == text
@@ -124,6 +142,25 @@ def test_frozen_values_are_immutable(name):
         with pytest.raises(AttributeError, match=f"{name} is immutable"):
             delattr(value, field)
     assert {field: getattr(value, field) for field in fields} == fields
+
+
+@pytest.mark.parametrize("name", FROZEN_VALUES)
+def test_frozen_values_pickle_and_deep_copy(name):
+    value = FROZEN_VALUES[name][0]()
+    for rebuilt in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(rebuilt) is type(value) and rebuilt is not value
+        assert rebuilt == value and hash(rebuilt) == hash(value) and repr(rebuilt) == repr(value)
+
+
+def test_a_rebuilt_system_keeps_its_rank_and_its_members():
+    system = build_sextic_system(PencilCubic.from_roots((1, 5, 7)))
+    candidates = [random_member(system, random.Random(5)),
+                  *(Polynomial.monomial(P3_VARS, e) for e in enumerate_monomials((1,) * 4, 6))]
+    members = [system.member(f) for f in candidates]
+    assert True in members and False in members
+    for rebuilt in (pickle.loads(pickle.dumps(system)), copy.deepcopy(system)):
+        assert rebuilt == system and rebuilt.rank == system.rank == 11
+        assert [rebuilt.member(f) for f in candidates] == members
 
 
 def test_a_config_resolves_its_pencil_once():
