@@ -5,11 +5,19 @@ a closed pipe, 2 configuration error or any other failed write to standard
 output (a full disk).  ``main`` returns the code;
 ``console_main``, which ``python -m fano72`` and the ``fano72`` script run,
 exits with it.
+
+``parse_args`` reads argv from one table, ``COMMANDS``, the way argparse 3.11
+reads it: ``-h``/``--help`` at each level, unique prefixes (``--deg 3``),
+``--opt=value``, negative numbers and texts with a space as values (``--xi
+"-x1^3 + x2^3"``), and the first ``--`` ending the options.  Its refusals use
+argparse's words.  It does not import argparse: that import (with gettext)
+and a parser build (which imports locale) cost about 4 ms of a 35 ms
+``fano72 hilbert`` on a 2-core x86 host.  One reading differs: ``--opt=--``
+hands ``--`` to the option's converter, where argparse made it an empty list.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import nullcontext
@@ -77,13 +85,13 @@ def _open_json(path: str | None):
         raise _unwritable(path, error)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: dict) -> int:
     """Run the suites; the summary reports the command's wall time, setup included."""
     started = perf_counter()
     from .checks import VerifyConfig, run_all
-    config = VerifyConfig(xi_text=args.xi, suite=args.suite, seed=args.seed)
+    config = VerifyConfig(xi_text=args["xi"], suite=args["suite"], seed=args["seed"])
     config.pencil    # a bad pencil stops here, before --json can truncate or create its file
-    with _open_json(args.json) as handle:
+    with _open_json(args["json"]) as handle:
         records = run_all(config)
         _print_records(records)
         if handle:
@@ -94,32 +102,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 with handle:    # closing flushes: a full disk raises here, once
                     handle.writelines(lines)
             except OSError as error:
-                raise _unwritable(args.json, error)
+                raise _unwritable(args["json"], error)
     failed = sum(1 for r in records if r.status == "FAIL")
     print(f"{len(records)} checks: {len(records) - failed} passed, "
           f"{failed} failed ({perf_counter() - started:.2f}s)")
     return 1 if failed else 0
 
 
-def cmd_hilbert(args: argparse.Namespace) -> int:
-    weights = _parse_weights(args.weights)
-    count = _count(weights, args.degree, "--list" if args.list else None)
-    print(f"weights {weights}, degree {args.degree}: {count} monomials")
-    if args.list:
-        _print_monomials(weights, args.degree)
+def cmd_hilbert(args: dict) -> int:
+    weights, degree = _parse_weights(args["weights"]), args["degree"]
+    count = _count(weights, degree, "--list" if args["list"] else None)
+    print(f"weights {weights}, degree {degree}: {count} monomials")
+    if args["list"]:
+        _print_monomials(weights, degree)
     return 0
 
 
-def cmd_wps(args: argparse.Namespace) -> int:
+def cmd_wps(args: dict) -> int:
     """Anticanonical data; the basis is counted, and enumerated only for --basis."""
     from .wps import WeightedProjectiveSpace
-    weights = _parse_weights(args.weights)
+    weights = _parse_weights(args["weights"])
     try:
         space = WeightedProjectiveSpace(weights)
     except ValueError as error:
         raise ConfigurationError(str(error))
     degree = space.anticanonical_weight()
-    size = _count(weights, degree, "--basis" if args.basis else None)
+    size = _count(weights, degree, "--basis" if args["basis"] else None)
     try:
         volume = str(space.anticanonical_selfintersection())
     except ValueError:      # str() refuses over 4300 digits, as from 1400 unit weights
@@ -129,62 +137,152 @@ def cmd_wps(args: argparse.Namespace) -> int:
     print(f"  anticanonical weight:            {degree}")
     print(f"  anticanonical self-intersection: {volume}")
     print(f"  anticanonical basis size:        {size} (projective dimension {size - 1})")
-    if args.basis:
+    if args["basis"]:
         _print_monomials(weights, degree)
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        """One configuration-error line: words cut to 20 characters, the line to 160."""
-        raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
+_SUITE_CHOICES = ("all",) + SUITES + EXTRA_SUITES
+_DESCRIPTION = ("Exact certification that the degree-72 scroll-cone threefold "
+               "is anticanonically embedded P(1,1,4,6).")
+_WEIGHTS = ("--weights", "WEIGHTS", str, True, None, "comma-separated weights, e.g. 1,1,4,6")
+# command -> (handler, help line, positional (name, choices, default, help) or None, options),
+# an option (flag, metavar or None for a switch, converter, required, default, help)
+COMMANDS = {
+    "verify": (cmd_verify, "run verification suites",
+               ("suite", _SUITE_CHOICES, "all", f"suite to run (default: all), one of "
+                                               f"{', '.join(_SUITE_CHOICES)}"), (
+        ("--xi", "CUBIC", str, False, None,
+         "pencil cubic in x1, x2, e.g. 'x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3'"),
+        ("--seed", "SEED", int, False, 0, "seed for the random-member sample checks"),
+        ("--json", "PATH", str, False, None, "also write one JSON record per check to PATH"))),
+    "hilbert": (cmd_hilbert, "count monomials of a weighted degree", None, (
+        _WEIGHTS, ("--degree", "DEGREE", int, True, None, "the weighted degree"),
+        ("--list", None, None, False, False, "also print the monomials"))),
+    "wps": (cmd_wps, "anticanonical data of a weighted projective space", None, (
+        _WEIGHTS, ("--basis", None, None, False, False, "also print the basis monomials"))),
+}
 
-    def _get_values(self, action, arg_strings):
-        # argparse (CPython 3.11) strips a value of exactly "--", as in --degree=--, and
-        # would hand the command [] in place of a string or a number
-        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
-            self.error(f"argument {action.option_strings[0]}: expected one argument, got '--'")
-        return super()._get_values(action, arg_strings)
+
+def _refuse(message: str):
+    """One configuration-error line: words cut to 20 characters, the line to 160."""
+    raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fano72",
-        description="Exact certification that the degree-72 scroll-cone threefold "
-                    "is anticanonically embedded P(1,1,4,6).")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read(token: str, flags: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """How argparse 3.11 reads token among flags ("-h" and "--help" first): None for a
+    value, else the flag and its "=value" or None, the flag None for an unknown option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, equals, value = token.partition("=")
+    if token in flags or equals and name in flags:
+        return name, value if equals else None
+    if token[1] == "-":     # a unique prefix names its option
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if equals else None
+    elif token[1] == "h":   # -hx is -h given x
+        return "-h", token[2:]
+    # a negative number, ^-\d+$|^-\d*\.\d+$ in argparse, whose $ also matches before a last newline
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if whole.isdecimal() and not dot or dot and fraction.isdecimal() and (
+            not whole or whole.isdecimal()) or " " in token:
+        return None
+    return None, None
 
-    suite_names = ("all",) + SUITES + EXTRA_SUITES
-    verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument("suite", nargs="?", default="all", choices=suite_names,
-                        help="suite to run (default: all)")
-    verify.add_argument("--xi", default=None, metavar="CUBIC",
-                        help="pencil cubic in x1, x2, e.g. "
-                             "'x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3'")
-    verify.add_argument("--seed", type=int, default=0,
-                        help="seed for the random-member sample checks")
-    verify.add_argument("--json", default=None, metavar="PATH",
-                        help="also write one JSON record per check to PATH")
-    verify.set_defaults(func=cmd_verify)
 
-    hilbert = sub.add_parser("hilbert", help="count monomials of a weighted degree")
-    hilbert.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,1,4,6")
-    hilbert.add_argument("--degree", type=int, required=True)
-    hilbert.add_argument("--list", action="store_true", help="also print the monomials")
-    hilbert.set_defaults(func=cmd_hilbert)
+def _help(flag: str, explicit: str | None, command: str | None = None) -> None:
+    """Print the help screen of command, or of fano72 for None, unless -h/--help
+    was given a value: that is refused."""
+    rest = explicit.lstrip("h") if flag == "-h" and explicit else explicit   # -hh is -h twice
+    if explicit is not None and (explicit == "" or rest):
+        _refuse(f"argument -h/--help: ignored explicit argument {rest!r}")
+    if command is None:
+        print(f"usage: fano72 [-h] {{{','.join(COMMANDS)}}} ...\n\n{_DESCRIPTION}\n")
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, about, positional, options = COMMANDS[command]
+        rows = [(f"{flag} {metavar}" if metavar else flag, text)
+                for flag, metavar, _, _, _, text in options]
+        usage = [left if option[3] else f"[{left}]" for (left, _), option in zip(rows, options)]
+        if positional:
+            usage.append(f"[{positional[0]}]")
+            rows.insert(0, (positional[0], positional[3]))
+        print(f"usage: fano72 {command} [-h] {' '.join(usage)}\n\n{about}\n")
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    print("\n".join(f"  {left:<{width}}{right}" for left, right in rows))
 
-    wps = sub.add_parser("wps", help="anticanonical data of a weighted projective space")
-    wps.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,1,4,6")
-    wps.add_argument("--basis", action="store_true", help="also print the basis monomials")
-    wps.set_defaults(func=cmd_wps)
 
-    return parser
+def parse_args(argv: list[str]) -> dict | None:
+    """The command and its values by name, read from argv as argparse 3.11 reads it,
+    or None once a help screen is printed; a refusal raises ConfigurationError."""
+    extras = []
+    for index, token in enumerate(argv):
+        read = None if token == "--" else _read(token, ("-h", "--help"))
+        if read and read[0]:
+            return _help(*read)
+        if read:
+            extras.append(token)
+        elif token != "--" or index + 1 < len(argv):    # argparse takes this "--" for the command
+            if token not in COMMANDS:
+                _refuse(f"argument command: invalid choice: {token!r} "
+                        f"(choose from {', '.join(map(repr, COMMANDS))})")
+            return _parse_command(token, argv[index + 1:], extras)
+    _refuse("the following arguments are required: command")
+
+
+def _parse_command(command: str, argv: list[str], extras: list[str]) -> dict | None:
+    _, _, positional, options = COMMANDS[command]
+    table = {option[0]: option for option in options}
+    values = {"command": command, **{flag[2:]: option[4] for flag, option in table.items()},
+              **({positional[0]: positional[2]} if positional else {})}
+    end = argv.index("--") if "--" in argv else len(argv)   # only values follow the first "--"
+    reads = [_read(token, ("-h", "--help", *table)) for token in argv[:end]]
+    reads += [None] * (len(argv) - end)
+    taken, seen, tokens = None, set(), enumerate(argv)     # taken: where the positional was
+    for index, token in tokens:
+        read = reads[index]
+        if index == end:    # dropped where argparse's pattern for the positional takes it in
+            if not (positional and taken in (None, index - 1)):
+                extras.append(token)
+        elif read is None and positional and taken is None:
+            if token not in positional[1]:
+                _refuse(f"argument {positional[0]}: invalid choice: {token!r} "
+                        f"(choose from {', '.join(map(repr, positional[1]))})")
+            values[positional[0]], taken = token, index
+        elif read is None or read[0] is None:
+            extras.append(token)
+        elif read[0] in ("-h", "--help"):
+            return _help(*read, command)
+        else:
+            flag, explicit = read
+            metavar, convert = table[flag][1:3]
+            if metavar is None and explicit is not None:
+                _refuse(f"argument {flag}: ignored explicit argument {explicit!r}")
+            if metavar and explicit is None:
+                if index + 1 >= end or reads[index + 1] is not None:
+                    _refuse(f"argument {flag}: expected one argument")
+                explicit = next(tokens)[1]
+            try:
+                values[flag[2:]] = convert(explicit) if metavar else True
+            except ValueError:
+                _refuse(f"argument {flag}: invalid {convert.__name__} value: {explicit!r}")
+            seen.add(flag)
+    missing = [flag for flag, _, _, required, _, _ in options if required and flag not in seen]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = 0 if args is None else COMMANDS[args["command"]][0](args)
         sys.stdout.flush()     # a closed pipe raises here, not at interpreter exit
         return code
     except ConfigurationError as error:

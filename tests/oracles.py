@@ -7,11 +7,13 @@ exponent products, and Hilbert counts by literal truncated series
 multiplication, by the coin-change table filled to the degree or, at large
 degrees, by a closed sum; random members and pencil cubics as Fraction sums
 and products of term dicts.  Frozen expected values in the tests were
-produced by these oracles.
+produced by these oracles.  The command line's reference is argparse itself:
+``build_parser`` is the parser ``fano72`` used before it read its own argv.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 import sys
 from collections import defaultdict
@@ -19,8 +21,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from fano72 import (Polynomial, enumerate_monomials, hilbert_count, image_degrees,
-                    multiplicity_along_line)
+from fano72 import (EXTRA_SUITES, SUITES, ConfigurationError, Polynomial, enumerate_monomials,
+                    hilbert_count, image_degrees, multiplicity_along_line)
+from fano72.cli import cmd_hilbert, cmd_verify, cmd_wps
+from fano72.grading import clip
 from fano72.linsys import P3_VARS
 from fano72.ratmap import TARGET_VARS
 
@@ -443,3 +447,50 @@ def hilbert_consistency_failures(seed: int, cases: int, max_degree: int = 40) ->
         if len(set(listed)) != len(listed):
             failures.append(f"enumeration has duplicates for {weights} degree {degree}")
     return failures
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One configuration-error line: words cut to 20 characters, the line to 160."""
+        raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
+
+    def _get_values(self, action, arg_strings):
+        # argparse (CPython 3.11) strips a value of exactly "--", as in --degree=--, and
+        # would hand the command [] in place of a string or a number
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument, got '--'")
+        return super()._get_values(action, arg_strings)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="fano72",
+        description="Exact certification that the degree-72 scroll-cone threefold "
+                    "is anticanonically embedded P(1,1,4,6).")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    suite_names = ("all",) + SUITES + EXTRA_SUITES
+    verify = sub.add_parser("verify", help="run verification suites")
+    verify.add_argument("suite", nargs="?", default="all", choices=suite_names,
+                        help="suite to run (default: all)")
+    verify.add_argument("--xi", default=None, metavar="CUBIC",
+                        help="pencil cubic in x1, x2, e.g. "
+                             "'x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3'")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed for the random-member sample checks")
+    verify.add_argument("--json", default=None, metavar="PATH",
+                        help="also write one JSON record per check to PATH")
+    verify.set_defaults(func=cmd_verify)
+
+    hilbert = sub.add_parser("hilbert", help="count monomials of a weighted degree")
+    hilbert.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,1,4,6")
+    hilbert.add_argument("--degree", type=int, required=True)
+    hilbert.add_argument("--list", action="store_true", help="also print the monomials")
+    hilbert.set_defaults(func=cmd_hilbert)
+
+    wps = sub.add_parser("wps", help="anticanonical data of a weighted projective space")
+    wps.add_argument("--weights", required=True, help="comma-separated weights, e.g. 1,1,4,6")
+    wps.add_argument("--basis", action="store_true", help="also print the basis monomials")
+    wps.set_defaults(func=cmd_wps)
+
+    return parser

@@ -411,6 +411,11 @@ DOUBLED_TALL = str((X2 - (10 ** 100 + 267) * X1) ** 2 * (X2 - (10 ** 99 + 289) *
     ["wps", "--weights", f"1,1,{EIGHTS}"],
     ["verify", "wps", "--json", "/nonexistent/" + "a" * 5000],
     ["verify", "--xi", DOUBLED_TALL],
+    ["hilbert", "--list=1", "--weights", "1", "--degree", "1"],
+    ["hilbert", "--weights", "--degree", "3"],
+    ["--x", "verify"],
+    ["wps", "--=1"],
+    ["verify", "--seed"],
 ], ids=["coefficient-over-int-limit", "exponent-over-int-limit", "coefficient-over-bit-cap",
         "sum-over-int-limit", "wps-many-weights", "hilbert-zero-weight",
         "hilbert-non-integer-weight", "hilbert-weight-over-int-limit",
@@ -420,7 +425,9 @@ DOUBLED_TALL = str((X2 - (10 ** 100 + 267) * X1) ** 2 * (X2 - (10 ** 99 + 289) *
         "hilbert-list-over-the-exponent-cap", "degree-double-dash", "weights-double-dash",
         "xi-double-dash", "seed-double-dash", "degree-of-4000-digits",
         "weight-of-4000-digits", "wps-gcd-of-4000-digits", "wps-degree-of-4000-digits",
-        "json-path-of-5000-characters", "pencil-double-root-of-101-digits"])
+        "json-path-of-5000-characters", "pencil-double-root-of-101-digits",
+        "switch-given-a-value", "option-in-place-of-a-value", "unknown-option-before-the-command",
+        "ambiguous-empty-prefix", "missing-value-at-the-end"])
 def test_cli_refuses_adversarial_input_in_one_short_line(argv, capsys):
     started = time.perf_counter()
     assert main(argv) == 2
@@ -622,6 +629,21 @@ def test_cli_scroll_check(capsys):
     assert main(["scroll-check"]) == 2
     assert capsys.readouterr().err.startswith(
         "configuration error: argument command: invalid choice: 'scroll-check'")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ["-h", "--help", "verify", "hilbert", "wps"]),
+    (["verify", "-h"], ["-h", "--help", "suite", "--xi CUBIC", "--seed SEED", "--json PATH",
+                        "all", *fano72.SUITES, *fano72.EXTRA_SUITES]),
+    (["hilbert", "--help"], ["-h", "--help", "--weights WEIGHTS", "--degree DEGREE", "--list"]),
+    (["wps", "-h"], ["-h", "--help", "--weights WEIGHTS", "--basis"]),
+], ids=["top", "verify", "hilbert", "wps"])
+def test_cli_help_returns_zero_after_a_screen_of_its_level(argv, names, capsys):
+    # main returns, so console_main flushes and exits as for any command
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: fano72", *argv[:-1]]))
+    assert all(name in out for name in names)
 
 
 def test_cli_exit_code_one_on_any_failure(monkeypatch, capsys):

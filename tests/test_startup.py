@@ -1,5 +1,7 @@
 """Start-up: ``import fano72`` and ``fano72 hilbert`` load only the layers they run,
-and nothing but ``verify``'s records loads ``dataclasses``.
+and nothing but ``verify``'s records loads ``dataclasses``.  ``cli`` reads its own
+argv, so no command loads ``argparse``, ``gettext`` or ``locale``, and
+``fano72 hilbert`` loads neither ``re`` nor ``shutil``.
 
 The package resolves its exports on first access, through a name table, so a
 typo in that table would show only when the name is first used; the table
@@ -36,6 +38,17 @@ def test_hilbert_loads_only_cli_and_grading():
     loaded = _loaded("-m", "fano72", "hilbert", "--weights", "1,1", "--degree", "1")
     assert {m for m in loaded if m.startswith("fano72.")} == {"fano72.cli", "fano72.grading"}
     assert not loaded & (CERTIFIER | {"fractions", "decimal"})
+
+
+@pytest.mark.parametrize("args", [("hilbert", "--weights", "1,1", "--degree", "1"),
+                                  ("wps", "--weights", "1,1,4,6"), ("verify", "all")],
+                         ids=["hilbert", "wps", "verify"])
+def test_commands_load_no_argument_library(args):
+    loaded = _loaded("-m", "fano72", *args)
+    assert "fano72.cli" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
+    if args[0] == "hilbert":
+        assert not loaded & {"re", "shutil"}
 
 
 def test_import_fano72_loads_no_submodule():

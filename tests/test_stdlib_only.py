@@ -130,8 +130,8 @@ def _private(name: str) -> bool:
 def test_every_private_name_is_read_in_the_package():
     # A private helper that no module reads is dead code.  Every private
     # module-level name, and every private method of a class of the package,
-    # is read somewhere in src/fano72; a method that overrides one of a
-    # standard-library base class (cli._Parser._get_values) is read by that base.
+    # is read somewhere in src/fano72; a method that overrides a private one of
+    # a standard-library base class is read by that base (no class does today).
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in SOURCES}
     read = set()
