@@ -27,7 +27,7 @@ class SplitBundle(FrozenValue):
             raise ValueError("a split bundle needs at least one summand")
         if any(not isinstance(t, int) for t in twists):
             raise ValueError(f"twists must be integers, got {clip(twists)}")
-        object.__setattr__(self, "twists", tuple(sorted(twists)))
+        super().__init__(tuple(sorted(twists)))
 
     @property
     def rank(self) -> int:
@@ -71,9 +71,7 @@ class RuledClass(FrozenValue):
             raise ValueError(f"e, a and b must be integers, got {clip((e, a, b))}")
         if e < 0:
             raise ValueError("the Hirzebruch invariant e must be a natural number")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(e, a, b)
 
     def intersect(self, other: RuledClass) -> int:
         """Intersection number, bilinear in both classes."""

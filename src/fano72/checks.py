@@ -37,7 +37,10 @@ from .wps import WeightedProjectiveSpace
 
 class VerifyConfig(FrozenValue):
     """What one run certifies: the pencil's text (None for the default), the
-    suite, and the seed of the random-member checks."""
+    suite, and the seed of the random-member checks.  The pencil is resolved
+    on first read, not when the config is built: perfbench's worker builds
+    each config before its op timer starts, and ``fano72 verify`` reads it
+    before ``--json`` opens, to refuse a bad cubic first."""
 
     _fields = ("xi_text", "suite", "seed")    # no __slots__: the cached pencil needs a __dict__
     xi_text: str | None
@@ -45,9 +48,7 @@ class VerifyConfig(FrozenValue):
     seed: int
 
     def __init__(self, xi_text: str | None = None, suite: str = "all", seed: int = 0):
-        object.__setattr__(self, "xi_text", xi_text)
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(xi_text, suite, seed)
 
     @cached_property
     def pencil(self) -> PencilCubic:

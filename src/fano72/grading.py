@@ -50,11 +50,13 @@ class FrozenValue:
     attribute raises ``AttributeError``, and a copy, deep copy or unpickled
     value is rebuilt through ``__init__`` from the fields.
 
-    A subclass's ``__init__`` sets each field once, through
-    ``object.__setattr__``.  The package's seven values stand on this base:
-    ``Polynomial`` (with its own hash, as its term dict has none),
-    ``LinearSystem``, ``PencilCubic``, ``VerifyConfig``, ``SplitBundle``,
-    ``RuledClass`` and ``WeightedProjectiveSpace``.  A plain
+    ``FrozenValue.__init__`` is the one writer of a value's slots: a
+    subclass's ``__init__`` checks its arguments and ends in one
+    ``super().__init__``, which sets the fields from ``values`` in order,
+    then any other slot from ``derived``.  The package's seven values stand
+    on this base: ``Polynomial`` (with its own hash, as its term dict has
+    none), ``LinearSystem``, ``PencilCubic``, ``VerifyConfig``,
+    ``SplitBundle``, ``RuledClass`` and ``WeightedProjectiveSpace``.  A plain
     class generates no code at import: as frozen dataclasses, the last five
     cost about 3 ms of start-up on a 2-core x86 host (CPython 3.11), and
     their modules loaded ``dataclasses`` and the ``inspect`` it imports.
@@ -62,6 +64,13 @@ class FrozenValue:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **derived):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values "
+                            f"{self._fields}, got {len(values)}")
+        for name, value in (*zip(self._fields, values), *derived.items()):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -219,11 +219,7 @@ class LinearSystem(FrozenValue):
         span = RowSpace()
         for g in generators:                # each term dict is a primitive integer row
             span._insert(g._terms)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "rank", span.rank)
-        object.__setattr__(self, "_span", span)
+        super().__init__(ring, degree, generators, rank=span.rank, _span=span)
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree={self.degree}, "

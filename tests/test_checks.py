@@ -65,6 +65,16 @@ def test_unknown_suite_is_a_configuration_error():
         run_all(VerifyConfig(suite="nonsense"))
 
 
+def test_a_config_resolves_its_pencil_on_first_read():
+    # perfbench builds each config before its op timer starts: a constructor
+    # that resolved the pencil would move parsing and root search out of the op.
+    config = VerifyConfig(xi_text="x1^3")
+    with pytest.raises(ConfigurationError):
+        config.pencil
+    with pytest.raises(ConfigurationError):
+        run_all(config)
+
+
 def test_repeated_root_cubic_is_a_configuration_error():
     doubled = (X2 - X1) ** 2 * (X2 - 2 * X1)
     with pytest.raises(ConfigurationError):

@@ -47,6 +47,17 @@ def test_power_edge_cases():
         X1 ** -1
 
 
+@pytest.mark.parametrize("f", [Polynomial.zero(P3_VARS), Fraction(-2, 3) * X1 * X4 ** 2,
+                               X1 + 2 * X2 - X3 / 3, PencilCubic.default().cubic],
+                         ids=["zero", "one-term", "linear", "default-xi"])
+def test_power_equals_the_repeated_product(f):
+    # every exponent to 33, so each bit pattern up to six bits is squared and multiplied
+    product = Polynomial.constant(f.ring, 1)
+    for n in range(34):
+        assert f ** n == product, n
+        product = product * f
+
+
 @pytest.mark.parametrize("build", [
     lambda e: Polynomial(P3_VARS, {e: 1}),
     lambda e: Polynomial(P3_VARS, [((0, 0, 0, 0), 2), (e, Fraction(1, 2))]),

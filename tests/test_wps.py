@@ -152,6 +152,15 @@ def test_frozen_values_pickle_and_deep_copy(name):
         assert rebuilt == value and hash(rebuilt) == hash(value) and repr(rebuilt) == repr(value)
 
 
+def test_a_value_built_from_the_wrong_number_of_fields_is_a_type_error():
+    # PencilCubic has no constructor of its own: FrozenValue.__init__ counts its fields.
+    cubic, roots = PencilCubic.default().cubic, (1, 2, 3)
+    assert PencilCubic(cubic, roots) == PencilCubic.default()
+    for values in ((cubic,), (cubic, roots, None)):
+        with pytest.raises(TypeError, match="PencilCubic takes 2 values"):
+            PencilCubic(*values)
+
+
 def test_a_rebuilt_system_keeps_its_rank_and_its_members():
     system = build_sextic_system(PencilCubic.from_roots((1, 5, 7)))
     candidates = [random_member(system, random.Random(5)),
