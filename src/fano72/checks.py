@@ -211,28 +211,26 @@ def sextic_suite(pencil: PencilCubic, rng: random.Random) -> list[CheckRecord]:
          "off the quintuple line, a member meets a general pencil plane in a line",
          "{1}", residual_degrees)
 
-    def plane_count(plane: str) -> str:
-        good = sum(1 for f in members
-                   if not coordinate_plane_residual(f, plane).uses_variable("x4"))
-        return f"{good}/{len(members)}"
+    def share(test) -> str:         # how many members pass the test, of how many
+        return f"{sum(map(test, members))}/{len(members)}"
 
     for plane in ("x1", "x2"):
         _run(records, f"system-s.plane-{plane}",
              f"residual lines on the plane {plane} = 0",
              f"members meet the plane {plane} = 0, off the line, in lines "
              "through [0,0,0,1]",
-             f"{len(members)}/{len(members)}", lambda plane=plane: plane_count(plane))
+             f"{len(members)}/{len(members)}",
+             lambda plane=plane: share(
+                 lambda f: not coordinate_plane_residual(f, plane).uses_variable("x4")))
 
     for k, tau in enumerate(pencil.roots, start=1):
-        def root_count(tau=tau) -> str:
-            good = sum(1 for f in members
-                       if is_scalar_multiple(restrict_to_pencil_plane(f, tau), (6, 0, 0, 0)))
-            return f"{good}/{len(members)}"
         _run(records, f"system-s.root-{k}",
              f"restriction to the pencil plane x2 = {tau}*x1",
              f"members meet the plane x2 = {tau}*x1 in the line alone, "
              "with multiplicity 6",
-             f"{len(members)}/{len(members)}", root_count)
+             f"{len(members)}/{len(members)}",
+             lambda tau=tau: share(
+                 lambda f: is_scalar_multiple(restrict_to_pencil_plane(f, tau), (6, 0, 0, 0))))
 
     records += sprime_records(pencil, system)
     return records

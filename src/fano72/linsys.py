@@ -98,7 +98,7 @@ def _integer_coefficients(cubic: Polynomial) -> list[int]:
     """The coefficients a0..a3 of x1^3, x1^2*x2, x1*x2^2, x2^3 in a binary cubic,
     over their common denominator, refused past ``MAX_COEFFICIENT_BITS``."""
     coeffs = [cubic.coefficient((3 - k, k, 0, 0)) for k in range(4)]
-    denominator = reduce(lcm, (c.denominator for c in coeffs))
+    denominator = lcm(*(c.denominator for c in coeffs))
     coeffs = [int(c * denominator) for c in coeffs]
     bits = max(denominator, *map(abs, coeffs)).bit_length()
     if bits > MAX_COEFFICIENT_BITS:
