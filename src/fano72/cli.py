@@ -6,14 +6,13 @@ output (a full disk).  ``main`` returns the code;
 ``console_main``, which ``python -m fano72`` and the ``fano72`` script run,
 exits with it.
 
-``parse_args`` reads argv from one table, ``COMMANDS``, the way argparse 3.11
-reads it: ``-h``/``--help`` at each level, unique prefixes (``--deg 3``),
-``--opt=value``, negative numbers and texts with a space as values (``--xi
-"-x1^3 + x2^3"``), and the first ``--`` ending the options.  Its refusals use
-argparse's words.  It does not import argparse: that import (with gettext)
-and a parser build (which imports locale) cost about 4 ms of a 35 ms
-``fano72 hilbert`` on a 2-core x86 host.  One reading differs: ``--opt=--``
-hands ``--`` to the option's converter, where argparse made it an empty list.
+``parse_args`` reads argv from one table, ``COMMANDS``.  It reads a plain
+argv (the command, then whole flags with their values, and verify's suite)
+itself, and hands every other argv to argparse, imported only then: help
+screens, unique prefixes (``--deg 3``), ``--opt=value``, ``--`` and the
+refusal texts are argparse's own.  One reading differs from argparse's:
+``--opt=--`` hands ``--`` to the option's converter, where argparse made it
+an empty list.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ def cmd_wps(args: dict) -> int:
     return 0
 
 
-_SUITE_CHOICES = ("all",) + SUITES + EXTRA_SUITES
 _DESCRIPTION = ("Exact certification that the degree-72 scroll-cone threefold "
                "is anticanonically embedded P(1,1,4,6).")
 _WEIGHTS = ("--weights", "WEIGHTS", str, True, None, "comma-separated weights, e.g. 1,1,4,6")
@@ -150,8 +148,7 @@ _WEIGHTS = ("--weights", "WEIGHTS", str, True, None, "comma-separated weights, e
 # an option (flag, metavar or None for a switch, converter, required, default, help)
 COMMANDS = {
     "verify": (cmd_verify, "run verification suites",
-               ("suite", _SUITE_CHOICES, "all", f"suite to run (default: all), one of "
-                                               f"{', '.join(_SUITE_CHOICES)}"), (
+               ("suite", ("all",) + SUITES + EXTRA_SUITES, "all", "suite to run (default: all)"), (
         ("--xi", "CUBIC", str, False, None,
          "pencil cubic in x1, x2, e.g. 'x2^3 - 6*x1*x2^2 + 11*x1^2*x2 - 6*x1^3'"),
         ("--seed", "SEED", int, False, 0, "seed for the random-member sample checks"),
@@ -164,119 +161,86 @@ COMMANDS = {
 }
 
 
-def _refuse(message: str):
-    """One configuration-error line: words cut to 20 characters, the line to 160."""
-    raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
+def _plain(argv: list[str]) -> dict | None:
+    """The values of a plain argv, read without argparse, or None for any other argv.
 
-
-def _read(token: str, flags: tuple[str, ...]) -> tuple[str | None, str | None] | None:
-    """How argparse 3.11 reads token among flags ("-h" and "--help" first): None for a
-    value, else the flag and its "=value" or None, the flag None for an unknown option."""
-    if token[:1] != "-" or token == "-":
+    Plain: the command first, then whole flags, each valued one followed by its
+    value, and verify's suite at most once, anywhere; every required flag given
+    and every value converted.  A value may start with "-" only if it holds a
+    space and its second character is neither "-" nor "h", which argparse may
+    read as options.  Argparse, imported for any other argv, would add 4.5 ms
+    to a 45 ms ``fano72 hilbert`` and 5.8 ms to a 63 ms ``fano72 verify all
+    --json`` (medians of 30 alternating subprocess pairs against this reader
+    forced to defer; 2-core x86, CPython 3.11).
+    """
+    if not argv or argv[0] not in COMMANDS:
         return None
-    name, equals, value = token.partition("=")
-    if token in flags or equals and name in flags:
-        return name, value if equals else None
-    if token[1] == "-":     # a unique prefix names its option
-        matches = [flag for flag in flags if flag.startswith(name)]
-        if len(matches) > 1:
-            _refuse(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if equals else None
-    elif token[1] == "h":   # -hx is -h given x
-        return "-h", token[2:]
-    # a negative number, ^-\d+$|^-\d*\.\d+$ in argparse, whose $ also matches before a last newline
-    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
-    if whole.isdecimal() and not dot or dot and fraction.isdecimal() and (
-            not whole or whole.isdecimal()) or " " in token:
+    _, _, positional, options = COMMANDS[argv[0]]
+    table = {option[0]: option for option in options}
+    values = {"command": argv[0], **{flag[2:]: option[4] for flag, option in table.items()}}
+    name, choices, default, _ = positional or (None, (), None, None)
+    if positional:
+        values[name] = default
+    seen, tokens = set(), iter(argv[1:])
+    for token in tokens:
+        if token in choices and name not in seen:
+            key, value = name, token
+        elif token in table and table[token][1] is None:
+            key, value = token[2:], True
+        elif token in table:
+            key, value = token[2:], next(tokens, "-")    # a last flag takes "-": deferred
+            if value[:1] == "-" and (" " not in value or value[1] in "-h"):
+                return None
+            try:
+                value = table[token][2](value)
+            except ValueError:
+                return None
+        else:
+            return None
+        values[key] = value
+        seen.add(key)
+    if any(option[3] and option[0][2:] not in seen for option in options):
         return None
-    return None, None
+    return values
 
 
-def _help(flag: str, explicit: str | None, command: str | None = None) -> None:
-    """Print the help screen of command, or of fano72 for None, unless -h/--help
-    was given a value: that is refused."""
-    rest = explicit.lstrip("h") if flag == "-h" and explicit else explicit   # -hh is -h twice
-    if explicit is not None and (explicit == "" or rest):
-        _refuse(f"argument -h/--help: ignored explicit argument {rest!r}")
-    if command is None:
-        print(f"usage: fano72 [-h] {{{','.join(COMMANDS)}}} ...\n\n{_DESCRIPTION}\n")
-        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
-    else:
-        _, about, positional, options = COMMANDS[command]
-        rows = [(f"{flag} {metavar}" if metavar else flag, text)
-                for flag, metavar, _, _, _, text in options]
-        usage = [left if option[3] else f"[{left}]" for (left, _), option in zip(rows, options)]
+def _argparse(argv: list[str]) -> dict | None:
+    """The values of argv as argparse reads it, or None once a help screen is printed;
+    a refusal raises ConfigurationError."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            """One configuration-error line: words cut to 20 characters, the line to 160."""
+            raise ConfigurationError(clip(" ".join(map(clip, message.split())), 160))
+
+        def _get_values(self, action, arg_strings):
+            # argparse strips an option's value of exactly "--" (--degree=--) and would
+            # hand the command []: convert "--" like any other value
+            if action.option_strings and arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
+
+    parser = Parser(prog="fano72", description=_DESCRIPTION)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, positional, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=about, description=about)
         if positional:
-            usage.append(f"[{positional[0]}]")
-            rows.insert(0, (positional[0], positional[3]))
-        print(f"usage: fano72 {command} [-h] {' '.join(usage)}\n\n{about}\n")
-    rows.insert(0, ("-h, --help", "show this help message and exit"))
-    width = max(len(left) for left, _ in rows) + 2
-    print("\n".join(f"  {left:<{width}}{right}" for left, right in rows))
+            name, choices, default, text = positional
+            sub.add_argument(name, nargs="?", choices=choices, default=default, help=text)
+        for flag, metavar, convert, required, default, text in options:
+            sub.add_argument(flag, required=required, default=default, help=text, **(
+                {"metavar": metavar, "type": convert} if metavar else {"action": "store_true"}))
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:      # the help action printed its screen
+        return None
 
 
 def parse_args(argv: list[str]) -> dict | None:
-    """The command and its values by name, read from argv as argparse 3.11 reads it,
-    or None once a help screen is printed; a refusal raises ConfigurationError."""
-    extras = []
-    for index, token in enumerate(argv):
-        read = None if token == "--" else _read(token, ("-h", "--help"))
-        if read and read[0]:
-            return _help(*read)
-        if read:
-            extras.append(token)
-        elif token != "--" or index + 1 < len(argv):    # argparse takes this "--" for the command
-            if token not in COMMANDS:
-                _refuse(f"argument command: invalid choice: {token!r} "
-                        f"(choose from {', '.join(map(repr, COMMANDS))})")
-            return _parse_command(token, argv[index + 1:], extras)
-    _refuse("the following arguments are required: command")
-
-
-def _parse_command(command: str, argv: list[str], extras: list[str]) -> dict | None:
-    _, _, positional, options = COMMANDS[command]
-    table = {option[0]: option for option in options}
-    values = {"command": command, **{flag[2:]: option[4] for flag, option in table.items()},
-              **({positional[0]: positional[2]} if positional else {})}
-    end = argv.index("--") if "--" in argv else len(argv)   # only values follow the first "--"
-    reads = [_read(token, ("-h", "--help", *table)) for token in argv[:end]]
-    reads += [None] * (len(argv) - end)
-    taken, seen, tokens = None, set(), enumerate(argv)     # taken: where the positional was
-    for index, token in tokens:
-        read = reads[index]
-        if index == end:    # dropped where argparse's pattern for the positional takes it in
-            if not (positional and taken in (None, index - 1)):
-                extras.append(token)
-        elif read is None and positional and taken is None:
-            if token not in positional[1]:
-                _refuse(f"argument {positional[0]}: invalid choice: {token!r} "
-                        f"(choose from {', '.join(map(repr, positional[1]))})")
-            values[positional[0]], taken = token, index
-        elif read is None or read[0] is None:
-            extras.append(token)
-        elif read[0] in ("-h", "--help"):
-            return _help(*read, command)
-        else:
-            flag, explicit = read
-            metavar, convert = table[flag][1:3]
-            if metavar is None and explicit is not None:
-                _refuse(f"argument {flag}: ignored explicit argument {explicit!r}")
-            if metavar and explicit is None:
-                if index + 1 >= end or reads[index + 1] is not None:
-                    _refuse(f"argument {flag}: expected one argument")
-                explicit = next(tokens)[1]
-            try:
-                values[flag[2:]] = convert(explicit) if metavar else True
-            except ValueError:
-                _refuse(f"argument {flag}: invalid {convert.__name__} value: {explicit!r}")
-            seen.add(flag)
-    missing = [flag for flag, _, _, required, _, _ in options if required and flag not in seen]
-    if missing:
-        _refuse(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _refuse(f"unrecognized arguments: {' '.join(extras)}")
-    return values
+    """The command and its values by name, or None once a help screen is printed;
+    a refusal raises ConfigurationError."""
+    return _plain(argv) or _argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

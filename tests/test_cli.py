@@ -1,6 +1,9 @@
-"""``fano72.cli.parse_args`` against argparse 3.11, the parser it replaced.
+"""``fano72.cli.parse_args`` against argparse 3.11, through an independent parser.
 
-``oracles.build_parser`` is that parser, kept verbatim.  Both read argv drawn
+``oracles.build_parser`` is the parser fano72 built by hand before it read any
+argv itself, kept verbatim.  ``parse_args`` reads a plain argv itself and
+hands every other to a parser it builds from ``cli.COMMANDS``; the plain
+reader must either defer or agree with the reference.  Both read argv drawn
 from one vocabulary: the commands, every option and its unique prefixes,
 ``--opt=value`` forms, ``--``, ``-h``, negative numbers, tokens with spaces,
 suite names and junk.  They must agree on the outcome (the same values, a
@@ -19,7 +22,7 @@ import sys
 import pytest
 
 from fano72 import EXTRA_SUITES, SUITES, ConfigurationError
-from fano72.cli import parse_args
+from fano72.cli import _plain, parse_args
 
 from oracles import build_parser
 
@@ -187,6 +190,7 @@ def _defective(draw):
 def test_parse_args_reads_argv_as_argparse_does(case):
     argv, fragment = case
     reference = _outcome(_reference, argv)
+    assert (plain := _plain(argv)) is None or reference == ("ok", plain), argv
     if fragment:
         assert reference[0] == "refuse" and fragment in reference[1], (argv, reference)
     elif reference[0] == "refuse" and reference[1].endswith("expected one argument, got '--'"):

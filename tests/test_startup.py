@@ -1,6 +1,7 @@
 """Start-up: ``import fano72`` and ``fano72 hilbert`` load only the layers they run,
-and nothing but ``verify``'s records loads ``dataclasses``.  ``cli`` reads its own
-argv, so no command loads ``argparse``, ``gettext`` or ``locale``, and
+and nothing but ``verify``'s records loads ``dataclasses``.  ``cli`` reads a plain
+argv itself (the form of every README example and every perfbench sample), so
+such a command loads no ``argparse``, ``gettext`` or ``locale``, and
 ``fano72 hilbert`` loads neither ``re`` nor ``shutil``.
 
 The package resolves its exports on first access, through a name table, so a
@@ -40,11 +41,18 @@ def test_hilbert_loads_only_cli_and_grading():
     assert not loaded & (CERTIFIER | {"fractions", "decimal"})
 
 
-@pytest.mark.parametrize("args", [("hilbert", "--weights", "1,1", "--degree", "1"),
-                                  ("wps", "--weights", "1,1,4,6"), ("verify", "all")],
-                         ids=["hilbert", "wps", "verify"])
-def test_commands_load_no_argument_library(args):
-    loaded = _loaded("-m", "fano72", *args)
+@pytest.mark.parametrize("args", [
+    ("hilbert", "--weights", "1,1", "--degree", "1"), ("wps", "--weights", "1,1,4,6"),
+    ("verify", "all"),
+    ("verify", "all", "--seed", "7", "--json", "PATH",    # perfbench's verify shape
+     "--xi", "x2^3 - 13*x1*x2^2 + 47*x1^2*x2 - 35*x1^3"),
+    ("verify", "theorem", "--xi", "-6*x1^3 + 11*x1^2*x2 - 6*x1*x2^2 + x2^3"),
+    ("hilbert", "--weights", "1,1,4,6", "--degree", "12", "--list")],
+    ids=["hilbert", "wps", "verify", "verify-json", "verify-minus-xi", "hilbert-list"])
+def test_commands_load_no_argument_library(args, tmp_path):
+    # each argv is in the plain form, which cli reads without argparse
+    loaded = _loaded("-m", "fano72", *[str(tmp_path / "out.jsonl") if arg == "PATH" else arg
+                                       for arg in args])
     assert "fano72.cli" in loaded
     assert not loaded & {"argparse", "gettext", "locale"}
     if args[0] == "hilbert":
